@@ -16,17 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    ConfigError,
-    InconsistentModelError,
-    InvalidDomainError,
-    InvalidInputError,
-    OutOfRangeError,
-    RootBracketError,
-    SingularEvaluationError,
-    SolverFailureError,
-    UnsupportedRegimeError,
-)
+from .errors import ConfigError, SerrinError
 from .geometry import DomainSpec, FourierCurve, build_grid
 from .models import (
     BoundaryData,
@@ -50,6 +40,17 @@ _DEFAULT_NTHETA = 64
 
 def _fmt(v) -> str:
     return f"{v:.12g}"
+
+
+def _number(value, where, integer=False):
+    """A JSON number from the config, as float (or int), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if integer:
+        if not float(value).is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _need(mapping, keys, where):
@@ -86,7 +87,7 @@ def _make_domain(cfg, params, eps) -> DomainSpec:
         pert = {"target": "inner", "harmonic": 3, "kind": "cos", "amplitude": 0.0}
     _need(pert, {"target", "harmonic", "kind", "amplitude"}, "'perturbation'")
     target, kind = pert["target"], pert["kind"]
-    harmonic = int(pert["harmonic"])
+    harmonic = _number(pert["harmonic"], "perturbation.harmonic", integer=True)
     if target not in ("inner", "outer") or kind not in ("cos", "sin") or harmonic < 1:
         raise ConfigError("perturbation needs target inner/outer, kind cos/sin, harmonic >= 1")
     curve = spec.inner if target == "inner" else spec.outer
@@ -123,18 +124,20 @@ def _load_scenario(args) -> Scenario:
         raise ConfigError("config needs exactly one of 'boundary_data' or 'model_params'")
     if has_params:
         _need(cfg["model_params"], {"L", "M", "r_i", "r_o"}, "'model_params'")
-        params = ModelParams(**{k: float(v) for k, v in cfg["model_params"].items()})
+        params = ModelParams(**{k: _number(v, f"model_params.{k}")
+                                for k, v in cfg["model_params"].items()})
         data = boundary_data_of(params)
     else:
         _need(cfg["boundary_data"], {"a", "b", "alpha", "beta"}, "'boundary_data'")
-        data = BoundaryData(**{k: float(v) for k, v in cfg["boundary_data"].items()})
+        data = BoundaryData(**{k: _number(v, f"boundary_data.{k}")
+                               for k, v in cfg["boundary_data"].items()})
         params = None
 
     res = cfg.get("resolution", {})
     if not isinstance(res, dict) or set(res) - {"ns", "ntheta"}:
         raise ConfigError("'resolution' allows only 'ns' and 'ntheta'")
-    ns = int(res.get("ns", _DEFAULT_NS))
-    ntheta = int(res.get("ntheta", _DEFAULT_NTHETA))
+    ns = _number(res.get("ns", _DEFAULT_NS), "resolution.ns", integer=True)
+    ntheta = _number(res.get("ntheta", _DEFAULT_NTHETA), "resolution.ntheta", integer=True)
     if args.ns is not None:
         ns = args.ns
     if args.ntheta is not None:
@@ -143,13 +146,23 @@ def _load_scenario(args) -> Scenario:
     sol = cfg.get("solver", {})
     if not isinstance(sol, dict) or set(sol) - {"tol", "method", "max_iter"}:
         raise ConfigError("'solver' allows only 'tol', 'method' and 'max_iter'")
-    options = SolveOptions(**sol)
+    # One solver path: 'auto' and 'direct' both name it, and 'max_iter' is
+    # accepted for compatibility with older configs but selects nothing.
+    method = sol.get("method", "auto")
+    if method == "iterative":
+        raise ConfigError("solver.method 'iterative' was removed; "
+                          "'auto' and 'direct' run the one sparse LU solver")
+    if method not in ("auto", "direct"):
+        raise ConfigError(f"solver.method must be 'auto' or 'direct', got {method!r}")
+    if "max_iter" in sol and _number(sol["max_iter"], "solver.max_iter", integer=True) < 1:
+        raise ConfigError("solver.max_iter must be positive")
+    options = SolveOptions(tol=_number(sol.get("tol", SolveOptions.tol), "solver.tol"))
 
     eps = 0.0
     if "perturbation" in cfg:
         _need(cfg["perturbation"], {"target", "harmonic", "kind", "amplitude"},
               "'perturbation'")
-        eps = float(cfg["perturbation"]["amplitude"])
+        eps = _number(cfg["perturbation"]["amplitude"], "perturbation.amplitude")
     if getattr(args, "eps", None) is not None:
         eps = args.eps
 
@@ -188,7 +201,6 @@ def cmd_solve(args) -> int:
     path = s.output.get("field", "field.dat")
     write_field(field, path)
     print(f"unknowns: {stats.unknowns}")
-    print(f"method: {stats.method}")
     print(f"residual: {stats.residual:.3e}")
     print(f"seconds: {stats.seconds:.3f}")
     print(f"field: {path}")
@@ -213,7 +225,7 @@ def cmd_verify(args) -> int:
         print(f"csv: {s.output['csv']}")
     failed = sum(1 for c in checks if c.gated and not (c.passed or c.waived))
     print(f"verification: {'PASS' if ok else f'FAIL ({failed} checks)'}")
-    case = classify_case(s.data)
+    case = ProblemCase(report.case)
     if case is ProblemCase.DECREASING_UNCOVERED:
         return 3
     if case is ProblemCase.INADMISSIBLE:
@@ -240,7 +252,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep parameter must be one of eps, ns, ntheta")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep values must be a nonempty list")
-    values = [float(v) for v in values]
+    values = [_number(v, "sweep.values") for v in values]
 
     def run_one(v):
         eps, ns, ntheta = s.eps, s.ns, s.ntheta
@@ -282,6 +294,9 @@ def cmd_mms(args) -> int:
     if not isinstance(mc, dict) or set(mc) - {"sizes", "exact"}:
         raise ConfigError("'mms' allows only 'sizes' and 'exact'")
     sizes = mc.get("sizes", [33, 65, 129])
+    if not isinstance(sizes, list):
+        raise ConfigError("mms sizes must be a list")
+    sizes = [_number(n, "mms.sizes", integer=True) for n in sizes]
     kind = mc.get("exact", "model")
     params = None
     if kind in ("model", "saddle"):
@@ -334,16 +349,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError, InvalidDomainError) as e:
+    except SerrinError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UnsupportedRegimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3 if e.case is ProblemCase.DECREASING_UNCOVERED else 2
-    except (RootBracketError, SolverFailureError, SingularEvaluationError,
-            OutOfRangeError, InconsistentModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -2,19 +2,32 @@
 
 
 class SerrinError(Exception):
-    """Base class for all toolkit-specific failures."""
+    """Base class for all toolkit-specific failures.
+
+    ``exit_code`` is the command-line exit status for the failure: 4 for a
+    numerical failure (the default), 2 for invalid input or configuration,
+    3 for data in the unproven regime.
+    """
+
+    exit_code = 4
 
 
 class InvalidInputError(SerrinError, ValueError):
     """Arguments are malformed (non-finite, wrong sign, wrong shape)."""
 
+    exit_code = 2
+
 
 class InvalidDomainError(SerrinError, ValueError):
     """A curve or domain violates a geometric precondition."""
 
+    exit_code = 2
+
 
 class ConfigError(SerrinError, ValueError):
     """A scenario configuration file is malformed."""
+
+    exit_code = 2
 
 
 class UnsupportedRegimeError(SerrinError, ValueError):
@@ -27,6 +40,12 @@ class UnsupportedRegimeError(SerrinError, ValueError):
     def __init__(self, message, case=None):
         super().__init__(message)
         self.case = case
+
+    @property
+    def exit_code(self):
+        from .models import ProblemCase
+
+        return 3 if self.case is ProblemCase.DECREASING_UNCOVERED else 2
 
 
 class RootBracketError(SerrinError, RuntimeError):

@@ -594,9 +594,8 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         case=str(case), ns=grid.ns, ntheta=grid.ntheta, regime_note=note,
         diagnostic_only=diagnostic, neumann_inner=n_in, neumann_outer=n_out,
         pohozaev_res=pohozaev_residual(grid, field, data),
-        solver={"method": stats.method, "unknowns": stats.unknowns,
-                "iterations": stats.iterations, "residual": stats.residual,
-                "seconds": stats.seconds},
+        solver={"unknowns": stats.unknowns, "iterations": stats.iterations,
+                "residual": stats.residual, "seconds": stats.seconds},
     )
     if params is not None:
         report.model = params

@@ -50,8 +50,14 @@ class TestFit:
         proc = run_cli("fit", "/nonexistent/cfg.json")
         assert proc.returncode == 2
 
-    def test_bad_key_exits_2(self, tmp_path):
-        cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, "bogus": 1})
+    @pytest.mark.parametrize("extra", [
+        {"bogus": 1},
+        {"solver": {"tol": "1e-11"}},
+        {"resolution": {"ns": "x"}},
+        {"solver": {"method": "iterative"}},
+    ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method"])
+    def test_bad_key_exits_2(self, tmp_path, extra):
+        cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
         proc = run_cli("fit", cfg)
         assert proc.returncode == 2
 
@@ -67,6 +73,7 @@ class TestSolve:
         payload = {
             **MODEL_A,
             "resolution": {"ns": 17, "ntheta": 32},
+            "solver": {"tol": 1e-11, "method": "auto", "max_iter": 2000},
             "output": {"field": str(out)},
         }
         cfg = write_cfg(tmp_path, "solve.json", payload)

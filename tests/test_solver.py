@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import serrin.solver as solver_module
 
 from serrin import (
     DomainSpec,
@@ -38,14 +41,6 @@ class TestOptions:
         with pytest.raises(InvalidInputError):
             SolveOptions(tol=1e-3)
 
-    def test_method_names(self):
-        with pytest.raises(InvalidInputError):
-            SolveOptions(method="multigrid")
-
-    def test_max_iter_positive(self):
-        with pytest.raises(InvalidInputError):
-            SolveOptions(max_iter=0)
-
 
 class TestSolve:
     def test_constant_boundary_harmonic(self):
@@ -75,24 +70,21 @@ class TestSolve:
         assert errs[0] < 1e-5
         assert errs[1] < errs[0] / 3.0
 
-    def test_iterative_matches_direct(self, data_a):
+    def test_residual_contract_carries_history(self, data_a):
         g = build_grid(DomainSpec.circles(1.0, 1.5), 33, 32)
-        fd, sd = solve_dirichlet(g, -2.0, data_a.a, data_a.b,
-                                 SolveOptions(method="direct"))
-        fi, si = solve_dirichlet(g, -2.0, data_a.a, data_a.b,
-                                 SolveOptions(method="iterative"))
-        assert sd.method == "direct"
-        assert si.method == "bicgstab"
-        assert si.residual <= 1e-11
-        assert np.max(np.abs(fd.values - fi.values)) < 1e-8
-
-    def test_iterative_failure_carries_history(self, data_a):
-        g = build_grid(DomainSpec.circles(1.0, 1.5), 33, 32)
+        _, stats = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
         with pytest.raises(SolverFailureError) as exc:
-            solve_dirichlet(g, -2.0, data_a.a, data_a.b,
-                            SolveOptions(method="iterative", max_iter=2))
+            solve_dirichlet(g, -2.0, data_a.a, data_a.b, SolveOptions(tol=1e-30))
         assert exc.value.residuals
-        assert len(exc.value.residuals) >= 1
+        assert exc.value.residuals[-1] == stats.residual
+
+    def test_singular_factor_raises_solver_failure(self, monkeypatch):
+        g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
+        n = (9 - 2) * 16
+        monkeypatch.setattr(solver_module, "_assemble",
+                            lambda *args: (sp.csr_matrix((n, n)), np.ones(n)))
+        with pytest.raises(SolverFailureError):
+            solve_dirichlet(g, -2.0, 0.0, 1.0)
 
     def test_deterministic(self, data_a):
         g = build_grid(wavy_domain(), 17, 32)
@@ -149,6 +141,14 @@ class TestMms:
 
 
 class TestGradient:
+    def test_rejects_field_from_other_grid(self):
+        circle = build_grid(DomainSpec.circles(1.0, 2.0), 65, 64)
+        wavy = build_grid(wavy_domain(), 65, 64)
+        fld = ScalarField(grid=circle, values=np.ones((65, 64)))
+        with pytest.raises(InvalidInputError):
+            gradient_field(wavy, fld)
+        gradient_field(build_grid(DomainSpec.circles(1.0, 2.0), 65, 64), fld)
+
     def test_exact_on_affine(self):
         g = build_grid(wavy_domain(), 17, 48)
         fld = ScalarField(grid=g, values=2.0 * g.x - 3.0 * g.y + 1.0)
