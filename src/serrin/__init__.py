@@ -35,7 +35,6 @@ from .models import (
     boundary_data_of,
     classify_case,
     compatibility,
-    compatibility_prime,
     fit_model,
     model_gradient_sq,
     model_u,

@@ -252,16 +252,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep parameter must be one of eps, ns, ntheta")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep values must be a nonempty list")
-    values = [_number(v, "sweep.values") for v in values]
+    values = [_number(v, "sweep.values", integer=parameter != "eps") for v in values]
 
     def run_one(v):
         eps, ns, ntheta = s.eps, s.ns, s.ntheta
         if parameter == "eps":
             eps = v
         elif parameter == "ns":
-            ns = int(v)
+            ns = v
         else:
-            ntheta = int(v)
+            ntheta = v
         try:
             report = full_report(s.domain(eps=eps), s.data, ns, ntheta, s.options)
             return report.csv_row(eps=eps)

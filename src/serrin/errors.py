@@ -49,7 +49,7 @@ class UnsupportedRegimeError(SerrinError, ValueError):
 
 
 class RootBracketError(SerrinError, RuntimeError):
-    """The compatibility root could not be bracketed or polished."""
+    """The compatibility root could not be bracketed or resolved to the fit tolerance."""
 
 
 class OutOfRangeError(SerrinError, ValueError):

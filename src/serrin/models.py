@@ -14,7 +14,6 @@ of the refined integral identity for decreasing profiles.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,28 +212,6 @@ def compatibility(data: BoundaryData, m: float) -> float:
     return (4 * a + al * al - 4 * b - be * be) + al * sa + be * sb + 4 * m * math.log(num / den)
 
 
-def compatibility_prime(data: BoundaryData, m: float) -> float:
-    """Analytic derivative of :func:`compatibility` with respect to ``m``.
-
-    Requires ``m > 0``.  Writing ``r_i = (alpha + s_a)/2`` and
-    ``r_o = (-beta + s_b)/2`` for the radii the slopes would produce,
-
-        F'(m) = (6*alpha - 4*r_i)/s_a + (6*beta + 4*r_o)/s_b
-                + 4*log(r_o / r_i).
-    """
-    m = float(m)
-    if not math.isfinite(m) or m <= 0:
-        raise InvalidInputError("compatibility_prime requires m > 0")
-    a, b, al, be = data.as_tuple()
-    sa = math.sqrt(al * al + 4 * m)
-    sb = math.sqrt(be * be + 4 * m)
-    ri = 0.5 * (al + sa)
-    ro = 0.5 * (-be + sb)
-    if ri <= 0 or ro <= 0:
-        raise SingularEvaluationError("degenerate radii in compatibility_prime")
-    return (6 * al - 4 * ri) / sa + (6 * be + 4 * ro) / sb + 4 * math.log(ro / ri)
-
-
 def _build_params(data: BoundaryData, m: float) -> ModelParams:
     a, _, al, be = data.as_tuple()
     ri = 0.5 * (al + math.sqrt(al * al + 4 * m))
@@ -252,10 +229,12 @@ def fit_model(data: BoundaryData) -> ModelParams:
 
     Raises :class:`UnsupportedRegimeError` unless the data classify as
     Increasing or DecreasingCovered.  The compatibility root is bracketed by
-    a geometric ladder started at ``max(1, alpha^2, beta^2)``, narrowed by
-    bisection to relative width 1e-13 and polished with three guarded Newton
-    steps; the smallest bracketed root is returned and a ``RuntimeWarning``
-    is emitted if the scan saw more than one sign change.
+    a geometric ladder started at ``max(1, alpha^2, beta^2)``, which stops at
+    its first sign change (falling back to ``m = 0`` when halving never
+    finds one).  Bisection then narrows that bracket until its ends are
+    adjacent floats, and the end with the smaller ``|F|`` is returned;
+    :class:`RootBracketError` is raised if that ``|F|`` exceeds the fit
+    tolerance.
     """
     case = classify_case(data)
     if case not in (ProblemCase.INCREASING, ProblemCase.DECREASING_COVERED):
@@ -269,100 +248,68 @@ def fit_model(data: BoundaryData) -> ModelParams:
     def F(m):
         return compatibility(data, m)
 
-    m0 = max(1.0, al * al, be * be)
-    ms = [m0]
-    fs = [F(m0)]
-    if fs[0] > 0:
-        found = False
-        m = m0
+    # Invariant once bracketed: F(lo) <= 0 < F(hi).
+    lo = hi = max(1.0, al * al, be * be)
+    f_lo = f_hi = F(lo)
+    if f_lo > 0:
         for _ in range(1100):
-            m *= 0.5
-            ms.insert(0, m)
-            fs.insert(0, F(m))
-            if fs[0] <= 0:
-                found = True
+            lo, hi, f_hi = 0.5 * lo, lo, f_lo
+            f_lo = F(lo)
+            if f_lo <= 0 or lo < 1e-300:
                 break
-            if m < 1e-300:
-                break
-        if not found:
-            f0 = F(0.0)
-            if abs(f0) <= ftol:
+        if f_lo > 0:
+            hi, f_hi = lo, f_lo
+            lo, f_lo = 0.0, F(0.0)
+            if abs(f_lo) <= ftol:
                 return _build_params(data, 0.0)
-            if f0 < 0:
-                ms.insert(0, 0.0)
-                fs.insert(0, f0)
-            else:
+            if f_lo > 0:
                 raise RootBracketError("compatibility has no sign change down to m = 0")
     else:
-        found = False
-        m = m0
-        while m <= _BRACKET_CEILING:
-            m *= 2.0
-            ms.append(m)
-            fs.append(F(m))
-            if fs[-1] > 0:
-                found = True
-                break
-        if not found:
-            raise RootBracketError(
-                f"compatibility stayed nonpositive up to the bracket ceiling {_BRACKET_CEILING:g}"
-            )
+        while f_hi <= 0:
+            if hi > _BRACKET_CEILING:
+                raise RootBracketError("compatibility stayed nonpositive up to the "
+                                       f"bracket ceiling {_BRACKET_CEILING:g}")
+            lo, f_lo, hi = hi, f_hi, 2.0 * hi
+            f_hi = F(hi)
 
-    changes = [i for i in range(len(fs) - 1) if fs[i] <= 0 < fs[i + 1]]
-    reverse = [i for i in range(len(fs) - 1) if fs[i] > 0 >= fs[i + 1]]
-    if len(changes) + len(reverse) > 1:
-        warnings.warn(
-            "multiple compatibility sign changes bracketed; returning the smallest root",
-            RuntimeWarning,
-        )
-    i = changes[0]
-    lo, hi = ms[i], ms[i + 1]
-    for _ in range(260):
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if F(mid) <= 0:
-            lo = mid
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        f_mid = F(mid)
+        if f_mid <= 0:
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        if x <= 0:
-            break
-        fp = compatibility_prime(data, x)
-        if fp == 0 or not math.isfinite(fp):
-            break
-        xn = x - F(x) / fp
-        if math.isfinite(xn) and lo <= xn <= hi:
-            x = xn
-    if abs(F(x)) > ftol:
+            hi, f_hi = mid, f_mid
+        mid = 0.5 * (lo + hi)
+    m, f_m = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    if abs(f_m) > ftol:
         raise RootBracketError(
-            f"root polish left |F| = {abs(F(x)):.3e}, above tolerance {ftol:.3e}"
+            f"bisection left |F| = {abs(f_m):.3e}, above tolerance {ftol:.3e}"
         )
-    return _build_params(data, x)
+    return _build_params(data, m)
 
 
 def pseudo_radius(params: ModelParams, value):
     """Invert the monotone profile: the radius in [r_i, r_o] where u attains value.
 
     ``value`` may be scalar or array; entries outside the closed range of the
-    profile raise :class:`OutOfRangeError`.  Solved by bisection with a
-    Newton finish; accurate to relative 1e-12.
+    profile (or NaN) raise :class:`OutOfRangeError`.  Solved by vectorised
+    bisection alone, run until each bracket is two adjacent floats; the end
+    whose profile value is nearer ``value`` is returned.
     """
     arr, scalar = _as_array(value)
     ua = model_u(params, params.r_i)
     ub = model_u(params, params.r_o)
     lo_v, hi_v = min(ua, ub), max(ua, ub)
-    if arr.size and (np.any(arr < lo_v) or np.any(arr > hi_v)):
-        worst = float(np.maximum(lo_v - arr, arr - hi_v).max())
+    if not np.all((arr >= lo_v) & (arr <= hi_v)):
+        worst = float(np.max(np.maximum(lo_v - arr, arr - hi_v)))
         raise OutOfRangeError(
             f"value outside the profile range [{lo_v:.12g}, {hi_v:.12g}] by {worst:.3e}"
         )
     increasing = params.case is ProblemCase.INCREASING
     lo = np.full(arr.shape, params.r_i)
     hi = np.full(arr.shape, params.r_o)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
         above = model_u(params, mid) > arr
         if increasing:
             hi = np.where(above, mid, hi)
@@ -370,14 +317,9 @@ def pseudo_radius(params: ModelParams, value):
         else:
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
-    psi = 0.5 * (lo + hi)
-    for _ in range(2):
-        slope = model_u_prime(params, psi)
-        step = np.zeros_like(psi)
-        ok = np.abs(slope) > 1e-300
-        np.divide(model_u(params, psi) - arr, slope, out=step, where=ok)
-        psi = np.clip(psi - step, lo, hi)
-    return _ret(psi, scalar)
+        mid = 0.5 * (lo + hi)
+    nearer_hi = np.abs(model_u(params, hi) - arr) < np.abs(model_u(params, lo) - arr)
+    return _ret(np.where(nearer_hi, hi, lo), scalar)
 
 
 def model_gradient_sq(params: ModelParams, psi):

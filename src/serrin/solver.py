@@ -329,35 +329,34 @@ def write_field(field: ScalarField, path) -> None:
     """Write a field to disk: header with sizes and domain hash, then rows
     ``i j x1 x2 value`` in row-major node order.  Deterministic bytes."""
     g = field.grid
-    lines = [
+    header = "\n".join([
         "# scalar field on a blended polar grid",
         f"{g.ns} {g.ntheta} {g.spec.spec_hash()}",
         "# i j x1 x2 value",
-    ]
-    for i in range(g.ns):
-        for j in range(g.ntheta):
-            lines.append(
-                f"{i} {j} {g.x[i, j]:.17g} {g.y[i, j]:.17g} {field.values[i, j]:.17g}"
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ])
+    i, j = np.indices((g.ns, g.ntheta))
+    rows = np.column_stack([a.ravel() for a in (i, j, g.x, g.y, field.values)])
+    np.savetxt(path, rows, fmt="%d %d %.17g %.17g %.17g", header=header, comments="")
 
 
 def read_field(path):
-    """Read a field file; returns ``(meta, values)`` with values (ns, ntheta)."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    head = lines[0].split()
-    ns, ntheta, digest = int(head[0]), int(head[1]), head[2]
-    vals = np.empty((ns, ntheta))
-    xs = np.empty((ns, ntheta))
-    ys = np.empty((ns, ntheta))
-    if len(lines) - 1 != ns * ntheta:
+    """Read a field file; returns ``(meta, values)`` with values (ns, ntheta).
+
+    Raises :class:`InvalidInputError` unless the file parses and its rows list
+    every node exactly once, in the row-major order :func:`write_field` uses.
+    """
+    try:
+        with open(path) as fh:
+            fh.readline()
+            head = fh.readline().split()
+        ns, ntheta, digest = int(head[0]), int(head[1]), head[2]
+        table = np.loadtxt(path, skiprows=3, ndmin=2)
+    except (ValueError, IndexError) as e:
+        raise InvalidInputError(f"field file does not parse: {e}") from None
+    if ns < 1 or ntheta < 1 or table.shape != (ns * ntheta, 5):
         raise InvalidInputError("field file row count does not match header")
-    for ln in lines[1:]:
-        si, ti, xv, yv, uv = ln.split()
-        vals[int(si), int(ti)] = float(uv)
-        xs[int(si), int(ti)] = float(xv)
-        ys[int(si), int(ti)] = float(yv)
-    meta = {"ns": ns, "ntheta": ntheta, "domain_hash": digest, "x": xs, "y": ys}
-    return meta, vals
+    cols = np.ascontiguousarray(table.T).reshape(5, ns, ntheta)
+    if not np.array_equal(cols[:2], np.indices((ns, ntheta))):
+        raise InvalidInputError("field file rows are not the nodes in row-major order")
+    meta = {"ns": ns, "ntheta": ntheta, "domain_hash": digest, "x": cols[2], "y": cols[3]}
+    return meta, cols[4]

@@ -63,6 +63,13 @@ _DEGENERATE_NEUMANN = 1e-3
 # the model gradient vanishes.
 DEFAULT_TRUNCATION = 1e-4
 
+# Field values may leave the model's value range by this much (relative to
+# max(1, |range ends|)) before being clipped into it for the pseudo-radius.
+_CLIP_TOL = 1e-8
+
+# Curve samples for boundary_distance.
+_DISTANCE_SAMPLES = 8192
+
 CSV_COLUMNS = [
     "case", "Ns", "Ntheta", "eps",
     "neumann_sd_inner", "neumann_sd_outer", "pohozaev_res", "grad_margin",
@@ -130,29 +137,28 @@ def pohozaev_residual(grid: CurvGrid, field: ScalarField,
     return lhs - rhs
 
 
-def _psi_of_field(params: ModelParams, values, clip_tol: float = 1e-8):
+def _psi_of_field(params: ModelParams, values):
     ua = model_u(params, params.r_i)
     ub = model_u(params, params.r_o)
     lo, hi = min(ua, ub), max(ua, ub)
     scale = max(1.0, abs(lo), abs(hi))
     worst = float(np.max(np.maximum(values - hi, lo - values)))
-    if worst > clip_tol * scale:
+    if worst > _CLIP_TOL * scale:
         raise InconsistentModelError(
             f"field values leave the model value range by {worst:.3e} "
-            f"(allowed {clip_tol * scale:.3e})"
+            f"(allowed {_CLIP_TOL * scale:.3e})"
         )
     return pseudo_radius(params, np.clip(values, lo, hi))
 
 
-def gradient_bound_margin(grid: CurvGrid, field: ScalarField, params: ModelParams,
-                          clip_tol: float = 1e-8):
+def gradient_bound_margin(grid: CurvGrid, field: ScalarField, params: ModelParams):
     """Worst violation of the gradient bound ``W <= W0(psi)``.
 
     Returns ``(margin, (x, y))`` where margin = max(W - W0) over interior
     nodes and (x, y) is the node attaining it.  Nonpositive margins mean the
     bound holds on the grid.
     """
-    psi = _psi_of_field(params, field.values, clip_tol)
+    psi = _psi_of_field(params, field.values)
     g = gradient_field(grid, field)
     diff = g.w - model_gradient_sq(params, psi)
     inner = diff[1:-1]
@@ -188,8 +194,8 @@ class DivergenceIdentityResult:
 
 def divergence_identity_residual(grid: CurvGrid, field: ScalarField,
                                  params: ModelParams,
-                                 cutoff: float = DEFAULT_TRUNCATION,
-                                 clip_tol: float = 1e-8) -> DivergenceIdentityResult:
+                                 cutoff: float = DEFAULT_TRUNCATION
+                                 ) -> DivergenceIdentityResult:
     """Divergence identity for increasing profiles.
 
     Checks
@@ -209,7 +215,7 @@ def divergence_identity_residual(grid: CurvGrid, field: ScalarField,
             "divergence identity applies to increasing profiles", case=params.case
         )
     M = params.M
-    psi = _psi_of_field(params, field.values, clip_tol)
+    psi = _psi_of_field(params, field.values)
     g = gradient_field(grid, field)
     w0 = model_gradient_sq(params, psi)
     den = M - psi * psi
@@ -264,8 +270,8 @@ class RefinedPohozaevResult:
 
 def refined_pohozaev_check(grid: CurvGrid, field: ScalarField, params: ModelParams,
                            k: Optional[float] = None,
-                           cutoff: float = DEFAULT_TRUNCATION,
-                           clip_tol: float = 1e-8) -> RefinedPohozaevResult:
+                           cutoff: float = DEFAULT_TRUNCATION
+                           ) -> RefinedPohozaevResult:
     """Refined integral identity for decreasing profiles.
 
     With the weight density ``phi_dot`` built from constant ``k`` (defaults
@@ -293,7 +299,7 @@ def refined_pohozaev_check(grid: CurvGrid, field: ScalarField, params: ModelPara
         k = k_ref
     M, ri, ro = params.M, params.r_i, params.r_o
     d = boundary_data_of(params)
-    psi = _psi_of_field(params, field.values, clip_tol)
+    psi = _psi_of_field(params, field.values)
     g = gradient_field(grid, field)
     w0 = model_gradient_sq(params, psi)
     den = M - psi * psi
@@ -333,16 +339,19 @@ def refined_pohozaev_check(grid: CurvGrid, field: ScalarField, params: ModelPara
     )
 
 
-def boundary_distance(grid: CurvGrid, which: str, rows=None, samples: int = 8192):
+def boundary_distance(grid: CurvGrid, which: str, rows=None):
     """Distance from grid nodes to one boundary curve.
 
-    ``rows`` selects grid rows (default all).  Distances are measured to a
-    dense sample of the curve; the sampling error is quadratic in the sample
-    spacing.  Returns an array shaped ``(len(rows), ntheta)``.
+    ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows
+    (default all).  Distances are measured to a dense sample of the curve;
+    the sampling error is quadratic in the sample spacing.  Returns an array
+    shaped ``(len(rows), ntheta)``.
     """
+    if which not in ("inner", "outer"):
+        raise InvalidInputError("which must be 'inner' or 'outer'")
     curve = grid.spec.inner if which == "inner" else grid.spec.outer
     rows = np.arange(grid.ns) if rows is None else np.asarray(rows, dtype=int)
-    th = np.arange(samples) * (2 * np.pi / samples)
+    th = np.arange(_DISTANCE_SAMPLES) * (2 * np.pi / _DISTANCE_SAMPLES)
     bx, by = curve.point(th)
     px = grid.x[rows].ravel()
     py = grid.y[rows].ravel()
@@ -364,14 +373,13 @@ class ExpansionResult:
     n_nodes: int
 
 
-def degenerate_expansion_check(grid: CurvGrid, field: ScalarField,
-                               detect_tol: float = _DEGENERATE_NEUMANN
-                               ) -> Optional[ExpansionResult]:
+def degenerate_expansion_check(grid: CurvGrid,
+                               field: ScalarField) -> Optional[ExpansionResult]:
     """Quadratic expansion coefficient at a degenerate boundary.
 
-    A boundary qualifies when the arc-averaged Neumann trace is below
-    ``detect_tol`` in magnitude.  Around the qualifying boundary (the one
-    with the smaller mean if both qualify) the model predicts
+    A boundary qualifies when the arc-averaged Neumann trace is below 1e-3
+    in magnitude.  Around the qualifying boundary (the one with the smaller
+    mean if both qualify) the model predicts
     ``u = c - dist^2 + o(dist^2)``; the coefficient of ``-dist^2`` is fitted
     by least squares on nodes whose boundary distance lies in [h, 10h], with
     h the first interior layer width.  Returns ``None`` when no boundary
@@ -381,7 +389,7 @@ def degenerate_expansion_check(grid: CurvGrid, field: ScalarField,
     for which in ("inner", "outer"):
         tr = neumann_trace(grid, field, which)
         stats = neumann_constancy(tr, grid.arc_weights(which))
-        if abs(stats.mean) < detect_tol:
+        if abs(stats.mean) < _DEGENERATE_NEUMANN:
             cands.append((abs(stats.mean), which, stats.mean))
     if not cands:
         return None
@@ -563,9 +571,7 @@ def evaluate_checks(report: VerificationReport, expect_asymmetric: bool = False)
 
 
 def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
-                options: Optional[SolveOptions] = None,
-                cutoff: float = DEFAULT_TRUNCATION,
-                clip_tol: float = 1e-8) -> VerificationReport:
+                options: Optional[SolveOptions] = None) -> VerificationReport:
     """Solve the torsion problem and run every applicable identity check.
 
     Model-based checks are run for covered regimes only; for unproven or
@@ -601,16 +607,12 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         report.model = params
         report.fit_residual = fit_residual
         report.grad_margin, report.grad_margin_at = gradient_bound_margin(
-            grid, field, params, clip_tol
+            grid, field, params
         )
         report.area_margin_in, report.area_margin_out = area_bound_check(spec, params)
         if case is ProblemCase.INCREASING:
-            report.divergence = divergence_identity_residual(
-                grid, field, params, cutoff, clip_tol
-            )
+            report.divergence = divergence_identity_residual(grid, field, params)
         else:
-            report.refined = refined_pohozaev_check(
-                grid, field, params, None, cutoff, clip_tol
-            )
+            report.refined = refined_pohozaev_check(grid, field, params)
     report.expansion = degenerate_expansion_check(grid, field)
     return report

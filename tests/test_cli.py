@@ -201,9 +201,13 @@ class TestSweep:
         ).returncode == 0
         assert out.read_bytes() == serial
 
-    def test_empty_values_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("sweep", [
+        {"parameter": "eps", "values": []},
+        {"parameter": "ns", "values": [33.7, 40.2]},
+    ], ids=["empty", "fractional_ns"])
+    def test_empty_values_exit_2(self, tmp_path, sweep):
         payload = self.payload(tmp_path)
-        payload["sweep"]["values"] = []
+        payload["sweep"] = sweep
         cfg = write_cfg(tmp_path, "sweep.json", payload)
         assert run_cli("sweep", cfg).returncode == 2
 

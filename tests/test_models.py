@@ -1,7 +1,5 @@
 """Tests for the radial model family, case classification and fitting."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,6 @@ from serrin import (
     boundary_data_of,
     classify_case,
     compatibility,
-    compatibility_prime,
     fit_model,
     model_gradient_sq,
     model_u,
@@ -36,7 +33,6 @@ from conftest import random_decreasing, random_increasing, random_model
 U_A_AT_12 = 0.0092862271758185048
 B_A = 0.4968604324326575
 S_A = 3.6514471591582588
-FPRIME_A_AT_4 = 0.3418604324326575
 W0_A_AT_12 = 4.551111111111111
 K_C = 2.9571137728241815
 PHI_C_AT_2 = -1.6587552230361156
@@ -180,16 +176,6 @@ class TestCompatibility:
         with pytest.raises(InvalidInputError):
             compatibility(data_a, -1.0)
 
-    def test_prime_frozen_and_fd(self, data_a):
-        assert compatibility_prime(data_a, 4.0) == pytest.approx(
-            FPRIME_A_AT_4, rel=1e-12
-        )
-        h = 1e-6
-        fd = (compatibility(data_a, 4.0 + h) - compatibility(data_a, 4.0 - h)) / (
-            2 * h
-        )
-        assert compatibility_prime(data_a, 4.0) == pytest.approx(fd, rel=1e-8)
-
 
 class TestFit:
     def test_recovers_reference_models(self, model_a, model_b, model_c, model_d):
@@ -229,18 +215,16 @@ class TestFit:
 
     def test_residual_contract_and_round_trip(self):
         rng = np.random.default_rng(23)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for _ in range(200):
-                p = random_model(rng)
-                d = boundary_data_of(p)
-                q = fit_model(d)
-                limit = 4 * d.a + d.alpha**2 - 4 * d.b - d.beta**2
-                assert abs(compatibility(d, q.M)) <= 1e-12 * (1.0 + abs(limit))
-                e = boundary_data_of(q)
-                scale = 1.0 + max(abs(v) for v in d.as_tuple())
-                for x, y in zip(d.as_tuple(), e.as_tuple()):
-                    assert abs(x - y) <= 1e-8 * scale
+        for _ in range(200):
+            p = random_model(rng)
+            d = boundary_data_of(p)
+            q = fit_model(d)
+            limit = 4 * d.a + d.alpha**2 - 4 * d.b - d.beta**2
+            assert abs(compatibility(d, q.M)) <= 1e-12 * (1.0 + abs(limit))
+            e = boundary_data_of(q)
+            scale = 1.0 + max(abs(v) for v in d.as_tuple())
+            for x, y in zip(d.as_tuple(), e.as_tuple()):
+                assert abs(x - y) <= 1e-8 * scale
 
 
 class TestPseudoRadius:
@@ -266,14 +250,27 @@ class TestPseudoRadius:
             pseudo_radius(model_a, data_a.b + 1.0)
         with pytest.raises(OutOfRangeError):
             pseudo_radius(model_a, data_a.a - 1.0)
+        with pytest.raises(OutOfRangeError):
+            pseudo_radius(model_a, np.array([data_a.a, np.nan]))
 
-    @given(t=st.floats(0.0, 1.0))
-    @settings(max_examples=120, deadline=None)
-    def test_round_trip(self, t):
-        p = ModelParams(L=0.0, M=4.0, r_i=1.0, r_o=1.5)
-        r = p.r_i + t * (p.r_o - p.r_i)
-        got = pseudo_radius(p, model_u(p, r))
-        assert got == pytest.approx(r, rel=1e-9)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0),
+           increasing=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, seed, t, increasing):
+        # Both endpoints and one interior radius of a random model.  The
+        # residual may reach the rounding error of evaluating u plus one
+        # float step of psi times the slope.
+        gen = random_increasing if increasing else random_decreasing
+        p = gen(np.random.default_rng(seed))
+        ends = model_u(p, np.array([p.r_i, p.r_o]))
+        r = min(p.r_i + t * (p.r_o - p.r_i), p.r_o)
+        v = np.array([ends[0], np.clip(model_u(p, r), ends.min(), ends.max()), ends[1]])
+        psi = pseudo_radius(p, v)
+        assert np.all((p.r_i <= psi) & (psi <= p.r_o))
+        eps = np.finfo(float).eps
+        bound = (4 * eps * (abs(p.L) + psi * psi / 2 + p.M * np.abs(np.log(psi)))
+                 + np.abs(model_u_prime(p, psi)) * np.spacing(psi))
+        assert np.all(np.abs(model_u(p, psi) - v) <= bound)
 
 
 class TestGradientSq:

@@ -235,12 +235,22 @@ class TestFieldIO:
         assert lines[2].startswith("#")
         assert len(lines) == 3 + 9 * 16
 
-    def test_truncated_file_rejected(self, tmp_path):
+    # Each edit damages the node rows of a 9 x 16 field file; the last row
+    # is node (8, 15).
+    @pytest.mark.parametrize("damage", [
+        lambda rows: rows[:-3],
+        lambda rows: rows[:-1] + rows[:1],
+        lambda rows: rows[:-1] + [rows[-1].replace("8 15 ", "8 -1 ", 1)],
+        lambda rows: rows[:-1] + [rows[-1].replace("8 15 ", "99 15 ", 1)],
+        lambda rows: rows[:-1] + [rows[-1] + "x"],
+    ], ids=["truncated", "repeated_node", "negative_index", "out_of_range_index",
+            "garbled_value"])
+    def test_truncated_file_rejected(self, tmp_path, damage):
         g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
         fld = ScalarField(grid=g, values=np.zeros((9, 16)))
         path = tmp_path / "f.dat"
         write_field(fld, path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-3]) + "\n")
+        path.write_text("\n".join(lines[:3] + damage(lines[3:])) + "\n")
         with pytest.raises(InvalidInputError):
             read_field(path)

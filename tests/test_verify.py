@@ -209,6 +209,8 @@ class TestBoundaryDistance:
         d = boundary_distance(grid, "outer", rows=[16])
         assert d.shape == (1, 32)
         assert np.max(np.abs(d)) < 1e-6
+        with pytest.raises(InvalidInputError):
+            boundary_distance(grid, "both")
 
 
 class TestExpansion:
