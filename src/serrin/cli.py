@@ -151,7 +151,7 @@ def _load_scenario(args) -> Scenario:
     method = sol.get("method", "auto")
     if method == "iterative":
         raise ConfigError("solver.method 'iterative' was removed; "
-                          "'auto' and 'direct' run the one sparse LU solver")
+                          "'auto' and 'direct' both run the one GMRES solver")
     if method not in ("auto", "direct"):
         raise ConfigError(f"solver.method must be 'auto' or 'direct', got {method!r}")
     if "max_iter" in sol and _number(sol["max_iter"], "solver.max_iter", integer=True) < 1:
@@ -201,6 +201,7 @@ def cmd_solve(args) -> int:
     path = s.output.get("field", "field.dat")
     write_field(field, path)
     print(f"unknowns: {stats.unknowns}")
+    print(f"iterations: {stats.iterations}")
     print(f"residual: {stats.residual:.3e}")
     print(f"seconds: {stats.seconds:.3f}")
     print(f"field: {path}")

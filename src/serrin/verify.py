@@ -342,15 +342,17 @@ def refined_pohozaev_check(grid: CurvGrid, field: ScalarField, params: ModelPara
 def boundary_distance(grid: CurvGrid, which: str, rows=None):
     """Distance from grid nodes to one boundary curve.
 
-    ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows
-    (default all).  Distances are measured to a dense sample of the curve;
-    the sampling error is quadratic in the sample spacing.  Returns an array
-    shaped ``(len(rows), ntheta)``.
+    ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows,
+    each in ``[0, ns)`` (default all).  Distances are measured to a dense
+    sample of the curve; the sampling error is quadratic in the sample
+    spacing.  Returns an array shaped ``(len(rows), ntheta)``.
     """
     if which not in ("inner", "outer"):
         raise InvalidInputError("which must be 'inner' or 'outer'")
     curve = grid.spec.inner if which == "inner" else grid.spec.outer
     rows = np.arange(grid.ns) if rows is None else np.asarray(rows, dtype=int)
+    if np.any((rows < 0) | (rows >= grid.ns)):
+        raise InvalidInputError(f"rows must lie in [0, {grid.ns})")
     th = np.arange(_DISTANCE_SAMPLES) * (2 * np.pi / _DISTANCE_SAMPLES)
     bx, by = curve.point(th)
     px = grid.x[rows].ravel()
@@ -601,7 +603,9 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         diagnostic_only=diagnostic, neumann_inner=n_in, neumann_outer=n_out,
         pohozaev_res=pohozaev_residual(grid, field, data),
         solver={"unknowns": stats.unknowns, "iterations": stats.iterations,
-                "residual": stats.residual, "seconds": stats.seconds},
+                "residual": stats.residual, "seconds": stats.seconds,
+                "assemble_s": stats.assemble_s, "setup_s": stats.setup_s,
+                "solve_s": stats.solve_s},
     )
     if params is not None:
         report.model = params

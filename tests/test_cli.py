@@ -79,6 +79,7 @@ class TestSolve:
         cfg = write_cfg(tmp_path, "solve.json", payload)
         proc = run_cli("solve", cfg)
         assert proc.returncode == 0
+        assert "iterations: 1\n" in proc.stdout  # circles: one GMRES iteration
         lines = out.read_text().splitlines()
         assert lines[1].split()[:2] == ["17", "32"]
         assert len(lines) == 3 + 17 * 32
@@ -261,3 +262,11 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for sub in ("fit", "solve", "verify", "sweep", "mms"):
             assert sub in proc.stdout
+
+    def test_import_skips_scipy_sparse(self):
+        # SciPy is imported by the solver on first use, so that `import
+        # serrin`, `serrin fit` and `--help` do not pay for it.
+        code = ("import sys, serrin, serrin.cli; "
+                "sys.exit('scipy.sparse' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -73,18 +73,69 @@ class TestSolve:
     def test_residual_contract_carries_history(self, data_a):
         g = build_grid(DomainSpec.circles(1.0, 1.5), 33, 32)
         _, stats = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
+        assert stats.residuals[-1] == stats.residual
+        assert len(stats.residuals) == stats.iterations + 1
         with pytest.raises(SolverFailureError) as exc:
             solve_dirichlet(g, -2.0, data_a.a, data_a.b, SolveOptions(tol=1e-30))
-        assert exc.value.residuals
-        assert exc.value.residuals[-1] == stats.residual
+        history = exc.value.residuals
+        assert len(history) >= 2
+        # the last entry is the true residual the failure message reports
+        assert 0 < history[-1] <= 1e-11
+        assert f"relative residual {history[-1]:.3e}" in str(exc.value)
 
     def test_singular_factor_raises_solver_failure(self, monkeypatch):
+        # A zero operator: GMRES breaks down at once and x = 0 is left, whose
+        # true relative residual is exactly 1.
         g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
         n = (9 - 2) * 16
         monkeypatch.setattr(solver_module, "_assemble",
                             lambda *args: (sp.csr_matrix((n, n)), np.ones(n)))
-        with pytest.raises(SolverFailureError):
+        with pytest.raises(SolverFailureError) as exc:
             solve_dirichlet(g, -2.0, 0.0, 1.0)
+        assert len(exc.value.residuals) >= 2
+        assert exc.value.residuals[-1] == 1.0
+
+    def test_singular_preconditioner_raises_solver_failure(self, monkeypatch):
+        g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
+        zero = np.zeros((9 - 2, 16))
+        monkeypatch.setattr(solver_module, "_stencil",
+                            lambda grid: {(di, dj): zero for di in (-1, 0, 1)
+                                          for dj in (-1, 0, 1)})
+        with pytest.raises(SolverFailureError, match="singular"):
+            solve_dirichlet(g, -2.0, 0.0, 1.0)
+
+    def test_stage_timings(self, data_a):
+        g = build_grid(wavy_domain(), 17, 32)
+        _, stats = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
+        stages = (stats.assemble_s, stats.setup_s, stats.solve_s)
+        assert all(t >= 0 for t in stages)
+        assert stats.seconds == pytest.approx(sum(stages))
+
+    def test_circles_take_one_iteration(self, data_a):
+        # On circles the theta-averaged preconditioner is the operator itself.
+        for n in (33, 65, 129):
+            g = build_grid(DomainSpec.circles(1.0, 1.5), n, n)
+            _, stats = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
+            assert stats.iterations == 1
+            assert stats.residual <= 1e-11
+
+    def test_iterations_independent_of_grid(self, data_a):
+        spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.0, 0.05)),
+                          outer=FourierCurve(c0=1.5))
+        counts = []
+        for n in (65, 129):
+            _, stats = solve_dirichlet(build_grid(spec, n, n), -2.0, data_a.a, data_a.b)
+            assert stats.residual <= 1e-11
+            counts.append(stats.iterations)
+        assert abs(counts[0] - counts[1]) <= 2
+        assert max(counts) <= 20
+
+    def test_near_crossing_converges(self, data_a):
+        # inner 1 + 0.45 cos 2theta comes within 0.05 of the outer circle
+        spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.45)),
+                          outer=FourierCurve(c0=1.5))
+        _, stats = solve_dirichlet(build_grid(spec, 65, 65), -2.0, data_a.a, data_a.b)
+        assert stats.residual <= 1e-11
 
     def test_deterministic(self, data_a):
         g = build_grid(wavy_domain(), 17, 32)

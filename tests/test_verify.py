@@ -212,6 +212,13 @@ class TestBoundaryDistance:
         with pytest.raises(InvalidInputError):
             boundary_distance(grid, "both")
 
+    @pytest.mark.parametrize("rows", [[-1], [17], [99], [0, 17]],
+                             ids=["negative", "ns", "far", "one_of_two"])
+    def test_rows_out_of_range_rejected(self, rows):
+        grid = build_grid(DomainSpec.circles(1.0, 2.0), 17, 32)
+        with pytest.raises(InvalidInputError):
+            boundary_distance(grid, "inner", rows=rows)
+
 
 class TestExpansion:
     def test_synthetic_quadratic(self):
@@ -267,6 +274,8 @@ class TestFullReport:
         text = json.dumps(tree, sort_keys=True)
         back = json.loads(text)
         assert back["case"] == "Increasing"
+        assert {"iterations", "residual", "seconds", "assemble_s", "setup_s",
+                "solve_s"} <= set(back["solver"])
         assert "divergence_identity" in back
         assert "refined_identity" not in back
         assert back["resolution"] == {"ns": 49, "ntheta": 48}
