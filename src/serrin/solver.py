@@ -7,8 +7,11 @@ grid: with metric coefficients A, B, C at cell interfaces,
 
 using second-order centered differences for both flux divergences.  The
 resulting 9-point operator annihilates constants exactly and is mildly
-nonsymmetric through the mixed-term interfaces.  Dirichlet rows are
-eliminated exactly into the right-hand side.
+nonsymmetric through the mixed-term interfaces.  It is kept only as its nine
+coefficient arrays (the stencil) and applied matrix-free, as a sum of
+coefficient-times-shifted-slice products; the preconditioner below averages
+the same stencil.  Dirichlet rows are eliminated exactly into the
+right-hand side.
 
 The system is solved by restarted GMRES (Saad & Schultz 1986), preconditioned
 on the right by the exact inverse of a theta-averaged operator: each
@@ -144,36 +147,15 @@ def _stencil(grid: CurvGrid) -> dict:
     }
 
 
-def _assemble(grid: CurvGrid, stencil, f_arr, a_arr, b_arr):
-    import scipy.sparse as sp
-
-    ns, nt = grid.ns, grid.ntheta
-    n_unknown = (ns - 2) * nt
-    ii, jj = np.meshgrid(np.arange(1, ns - 1), np.arange(nt), indexing="ij")
-    rows_grid = (ii - 1) * nt + jj
-    rhs = (grid.jac[1:ns - 1] * f_arr[1:ns - 1]).ravel().astype(float)
-
-    rows, cols, data = [], [], []
-    for (di, dj), coef in stencil.items():
-        ni = ii + di
-        nj = (jj + dj) % nt
-        interior = (ni >= 1) & (ni <= ns - 2)
-        if np.any(interior):
-            rows.append(rows_grid[interior])
-            cols.append((ni[interior] - 1) * nt + nj[interior])
-            data.append(coef[interior])
-        at_inner = ni == 0
-        if np.any(at_inner):
-            np.subtract.at(rhs, rows_grid[at_inner], coef[at_inner] * a_arr[nj[at_inner]])
-        at_outer = ni == ns - 1
-        if np.any(at_outer):
-            np.subtract.at(rhs, rows_grid[at_outer], coef[at_outer] * b_arr[nj[at_outer]])
-
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown),
-    )
-    return mat.tocsr(), rhs
+def _apply(stencil, u: np.ndarray) -> np.ndarray:
+    """The 9-point operator of ``stencil`` applied to a full ``(ns, ntheta)``
+    array: row ``i - 1`` of the result is the equation of interior node
+    ``(i, j)``.  Theta is periodic, so ``u`` is padded by one wrapped column
+    on each side and each coefficient multiplies a shifted slice of it."""
+    ns, nt = u.shape
+    padded = np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
+    return sum(coef * padded[1 + di:ns - 1 + di, 1 + dj:nt + 1 + dj]
+               for (di, dj), coef in stencil.items())
 
 
 def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
@@ -251,7 +233,15 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
 
     t0 = time.perf_counter()
     stencil = _stencil(grid)
-    mat, rhs = _assemble(grid, stencil, f_arr, a_arr, b_arr)
+    # The Dirichlet rows are eliminated: their stencil terms move to the
+    # right-hand side, and the operator sees zero boundary rows.
+    values = np.zeros((ns, nt))
+    values[0], values[-1] = a_arr, b_arr
+    rhs = (grid.jac[1:-1] * f_arr[1:-1] - _apply(stencil, values)).ravel()
+
+    def operator(x):
+        return _apply(stencil, np.pad(x.reshape(ns - 2, nt), ((1, 1), (0, 0)))).ravel()
+
     t1 = time.perf_counter()
     precondition = _theta_averaged_inverse(stencil)
     t2 = time.perf_counter()
@@ -259,14 +249,14 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     # estimates are those of x = P^-1 y in the unpreconditioned norm.  Half
     # of tol leaves room for the rounding of the final P^-1 y.
     history = []
-    op = spla.LinearOperator(mat.shape, matvec=lambda v: mat @ precondition(v),
-                             dtype=float)
+    op = spla.LinearOperator((rhs.size, rhs.size),
+                             matvec=lambda v: operator(precondition(v)), dtype=float)
     y, _ = spla.gmres(op, rhs, rtol=opts.tol / 2, restart=_RESTART,
                       maxiter=_MAX_RESTARTS, callback=history.append,
                       callback_type="pr_norm")
     x = precondition(y)
     residual = float(
-        np.linalg.norm(mat @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        np.linalg.norm(operator(x) - rhs) / max(np.linalg.norm(rhs), 1e-300)
     )
     residuals = [float(r) for r in history] + [residual]
     if not np.isfinite(residual) or residual > opts.tol:
@@ -277,9 +267,6 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
         )
     t3 = time.perf_counter()
 
-    values = np.empty((ns, nt))
-    values[0] = a_arr
-    values[-1] = b_arr
     values[1:-1] = x.reshape(ns - 2, nt)
     stats = SolveStats(unknowns=rhs.size, iterations=len(history), residual=residual,
                        seconds=t3 - t0, residuals=residuals, assemble_s=t1 - t0,

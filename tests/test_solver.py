@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import serrin.solver as solver_module
 
@@ -87,9 +86,8 @@ class TestSolve:
         # A zero operator: GMRES breaks down at once and x = 0 is left, whose
         # true relative residual is exactly 1.
         g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
-        n = (9 - 2) * 16
-        monkeypatch.setattr(solver_module, "_assemble",
-                            lambda *args: (sp.csr_matrix((n, n)), np.ones(n)))
+        monkeypatch.setattr(solver_module, "_apply",
+                            lambda stencil, u: np.zeros((u.shape[0] - 2, u.shape[1])))
         with pytest.raises(SolverFailureError) as exc:
             solve_dirichlet(g, -2.0, 0.0, 1.0)
         assert len(exc.value.residuals) >= 2
