@@ -13,11 +13,11 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError, SerrinError
-from .geometry import DomainSpec, FourierCurve, build_grid
+from .geometry import DomainSpec, build_grid
 from .models import (
     BoundaryData,
     ModelParams,
@@ -63,6 +63,9 @@ class Scenario:
     cfg: dict
     data: BoundaryData
     params: Optional[ModelParams]
+    base: Optional[DomainSpec]
+    # (target, kind, harmonic); None when the config has no 'perturbation'
+    perturbation: Optional[tuple]
     ns: int
     ntheta: int
     eps: float
@@ -70,38 +73,26 @@ class Scenario:
     output: dict
 
     def domain(self, eps: Optional[float] = None) -> DomainSpec:
-        return _make_domain(self.cfg, self.params, self.eps if eps is None else eps)
+        """The base domain perturbed at amplitude ``eps`` (default: the config's).
 
-
-def _make_domain(cfg, params, eps) -> DomainSpec:
-    if "domain" in cfg:
-        spec = DomainSpec.from_dict(cfg["domain"])
-    elif params is not None:
-        spec = DomainSpec.circles(params.r_i, params.r_o)
-    else:
-        raise ConfigError("config needs a 'domain' (or model parameters to default to circles)")
-    pert = cfg.get("perturbation")
-    if pert is None and eps == 0.0:
-        return spec
-    if pert is None:
-        pert = {"target": "inner", "harmonic": 3, "kind": "cos", "amplitude": 0.0}
-    _need(pert, {"target", "harmonic", "kind", "amplitude"}, "'perturbation'")
-    target, kind = pert["target"], pert["kind"]
-    harmonic = _number(pert["harmonic"], "perturbation.harmonic", integer=True)
-    if target not in ("inner", "outer") or kind not in ("cos", "sin") or harmonic < 1:
-        raise ConfigError("perturbation needs target inner/outer, kind cos/sin, harmonic >= 1")
-    curve = spec.inner if target == "inner" else spec.outer
-    coeffs = list(curve.cos_coeffs if kind == "cos" else curve.sin_coeffs)
-    while len(coeffs) < harmonic:
-        coeffs.append(0.0)
-    coeffs[harmonic - 1] += float(eps)
-    kw = {"cos_coeffs": tuple(coeffs)} if kind == "cos" else {"sin_coeffs": tuple(coeffs)}
-    base = {"cos_coeffs": curve.cos_coeffs, "sin_coeffs": curve.sin_coeffs}
-    base.update(kw)
-    new_curve = FourierCurve(c0=curve.c0, **base)
-    if target == "inner":
-        return DomainSpec(inner=new_curve, outer=spec.outer)
-    return DomainSpec(inner=spec.inner, outer=new_curve)
+        A 'perturbation' block applies even at amplitude 0, which pads the
+        coefficients that the domain hash reads; without one, a nonzero
+        ``eps`` perturbs inner cos 3.
+        """
+        eps = self.eps if eps is None else eps
+        if self.base is None:
+            raise ConfigError(
+                "config needs a 'domain' (or model parameters to default to circles)"
+            )
+        if self.perturbation is None and eps == 0.0:
+            return self.base
+        target, kind, harmonic = self.perturbation or ("inner", "cos", 3)
+        curve = getattr(self.base, target)
+        key = f"{kind}_coeffs"
+        coeffs = list(getattr(curve, key))
+        coeffs += [0.0] * (harmonic - len(coeffs))
+        coeffs[harmonic - 1] += float(eps)
+        return replace(self.base, **{target: replace(curve, **{key: tuple(coeffs)})})
 
 
 def _load_scenario(args) -> Scenario:
@@ -144,33 +135,39 @@ def _load_scenario(args) -> Scenario:
         ntheta = args.ntheta
 
     sol = cfg.get("solver", {})
-    if not isinstance(sol, dict) or set(sol) - {"tol", "method", "max_iter"}:
-        raise ConfigError("'solver' allows only 'tol', 'method' and 'max_iter'")
-    # One solver path: 'auto' and 'direct' both name it, and 'max_iter' is
-    # accepted for compatibility with older configs but selects nothing.
-    method = sol.get("method", "auto")
-    if method == "iterative":
-        raise ConfigError("solver.method 'iterative' was removed; "
-                          "'auto' and 'direct' both run the one GMRES solver")
-    if method not in ("auto", "direct"):
-        raise ConfigError(f"solver.method must be 'auto' or 'direct', got {method!r}")
-    if "max_iter" in sol and _number(sol["max_iter"], "solver.max_iter", integer=True) < 1:
-        raise ConfigError("solver.max_iter must be positive")
+    if not isinstance(sol, dict) or set(sol) - {"tol"}:
+        raise ConfigError("'solver' allows only 'tol'")
     options = SolveOptions(tol=_number(sol.get("tol", SolveOptions.tol), "solver.tol"))
 
+    if "domain" in cfg:
+        base = DomainSpec.from_dict(cfg["domain"])
+    elif params is not None:
+        base = DomainSpec.circles(params.r_i, params.r_o)
+    else:
+        base = None
+
+    perturbation = None
     eps = 0.0
     if "perturbation" in cfg:
-        _need(cfg["perturbation"], {"target", "harmonic", "kind", "amplitude"},
-              "'perturbation'")
-        eps = _number(cfg["perturbation"]["amplitude"], "perturbation.amplitude")
+        pert = cfg["perturbation"]
+        _need(pert, {"target", "harmonic", "kind", "amplitude"}, "'perturbation'")
+        target, kind = pert["target"], pert["kind"]
+        harmonic = _number(pert["harmonic"], "perturbation.harmonic", integer=True)
+        if target not in ("inner", "outer") or kind not in ("cos", "sin") or harmonic < 1:
+            raise ConfigError("perturbation needs target inner/outer, kind cos/sin, harmonic >= 1")
+        perturbation = (target, kind, harmonic)
+        eps = _number(pert["amplitude"], "perturbation.amplitude")
     if getattr(args, "eps", None) is not None:
         eps = args.eps
 
     output = cfg.get("output", {})
     if not isinstance(output, dict) or set(output) - {"report", "csv", "field"}:
         raise ConfigError("'output' allows only 'report', 'csv' and 'field'")
-    return Scenario(cfg=cfg, data=data, params=params, ns=ns, ntheta=ntheta,
-                    eps=eps, options=options, output=output)
+    if not all(isinstance(v, str) for v in output.values()):
+        raise ConfigError("'output' values must be file paths (strings)")
+    return Scenario(cfg=cfg, data=data, params=params, base=base,
+                    perturbation=perturbation, ns=ns, ntheta=ntheta, eps=eps,
+                    options=options, output=output)
 
 
 def _threads() -> int:
@@ -234,10 +231,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _write_csv(path, rows):
+def _write_csv(path, rows, header=CSV_COLUMNS):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -309,11 +306,9 @@ def cmd_mms(args) -> int:
         print(f"n={n:<5d} h={h:.6e} linf={li:.6e} l2={l2:.6e}")
     print(result.describe())
     if "csv" in s.output:
-        with open(s.output["csv"], "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "h", "linf", "l2"])
-            for n, h, li, l2 in zip(result.sizes, result.hs, result.linf, result.l2):
-                writer.writerow([n, _fmt(h), _fmt(li), _fmt(l2)])
+        rows = [[n, _fmt(h), _fmt(li), _fmt(l2)]
+                for n, h, li, l2 in zip(result.sizes, result.hs, result.linf, result.l2)]
+        _write_csv(s.output["csv"], rows, header=["n", "h", "linf", "l2"])
         print(f"csv: {s.output['csv']}")
     return 0
 

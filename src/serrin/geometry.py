@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,10 @@ from .errors import InvalidDomainError, InvalidInputError
 
 _MAX_DEGREE = 16
 _VALIDATION_SAMPLES = 4096
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _check_coeffs(name, coeffs):
@@ -139,6 +144,12 @@ class FourierCurve:
         extra = set(d) - {"c0", "cos", "sin"}
         if extra:
             raise InvalidDomainError(f"unknown curve keys: {sorted(extra)}")
+        if not _is_real(d["c0"]):
+            raise InvalidDomainError(f"curve 'c0' must be a number, got {d['c0']!r}")
+        for key in ("cos", "sin"):
+            coeffs = d.get(key, [])
+            if not isinstance(coeffs, list) or not all(map(_is_real, coeffs)):
+                raise InvalidDomainError(f"curve '{key}' must be a list of numbers")
         return cls(
             c0=d["c0"],
             cos_coeffs=tuple(d.get("cos", ())),

@@ -13,7 +13,7 @@ quadratic boundary expansion at a degenerate (zero-slope) boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,6 +41,7 @@ from .models import (
     model_u,
     pseudo_radius,
     refined_k,
+    refined_phi_dot,
 )
 from .solver import ScalarField, SolveOptions, gradient_field, neumann_trace, solve_dirichlet
 
@@ -137,18 +138,30 @@ def pohozaev_residual(grid: CurvGrid, field: ScalarField,
     return lhs - rhs
 
 
-def _psi_of_field(params: ModelParams, values):
+def _model_fields(grid: CurvGrid, field: ScalarField, params: ModelParams):
+    """Pseudo-radius ``psi``, ``W = |grad u|^2`` and the model's ``W0(psi)``."""
     ua = model_u(params, params.r_i)
     ub = model_u(params, params.r_o)
     lo, hi = min(ua, ub), max(ua, ub)
     scale = max(1.0, abs(lo), abs(hi))
-    worst = float(np.max(np.maximum(values - hi, lo - values)))
+    worst = float(np.max(np.maximum(field.values - hi, lo - field.values)))
     if worst > _CLIP_TOL * scale:
         raise InconsistentModelError(
             f"field values leave the model value range by {worst:.3e} "
             f"(allowed {_CLIP_TOL * scale:.3e})"
         )
-    return pseudo_radius(params, np.clip(values, lo, hi))
+    psi = pseudo_radius(params, np.clip(field.values, lo, hi))
+    return psi, gradient_field(grid, field).w, model_gradient_sq(params, psi)
+
+
+def _truncation_mask(params: ModelParams, psi, cutoff: float):
+    """Nodes outside the singular cutoff and the ``cutoff * sqrt(M)`` band at sqrt(M)."""
+    M = params.M
+    keep = np.abs(M - psi * psi) > SINGULAR_CUTOFF * max(1.0, M)
+    if M > 0:
+        rt = math.sqrt(M)
+        keep &= np.abs(psi - rt) > cutoff * rt
+    return keep
 
 
 def gradient_bound_margin(grid: CurvGrid, field: ScalarField, params: ModelParams):
@@ -158,10 +171,8 @@ def gradient_bound_margin(grid: CurvGrid, field: ScalarField, params: ModelParam
     nodes and (x, y) is the node attaining it.  Nonpositive margins mean the
     bound holds on the grid.
     """
-    psi = _psi_of_field(params, field.values)
-    g = gradient_field(grid, field)
-    diff = g.w - model_gradient_sq(params, psi)
-    inner = diff[1:-1]
+    _, w, w0 = _model_fields(grid, field, params)
+    inner = (w - w0)[1:-1]
     flat = int(np.argmax(inner))
     i, j = 1 + flat // grid.ntheta, flat % grid.ntheta
     return float(inner.max()), (float(grid.x[i, j]), float(grid.y[i, j]))
@@ -215,17 +226,10 @@ def divergence_identity_residual(grid: CurvGrid, field: ScalarField,
             "divergence identity applies to increasing profiles", case=params.case
         )
     M = params.M
-    psi = _psi_of_field(params, field.values)
-    g = gradient_field(grid, field)
-    w0 = model_gradient_sq(params, psi)
-    den = M - psi * psi
-    eps_sing = SINGULAR_CUTOFF * max(1.0, M)
-    keep = den > eps_sing
-    if M > 0:
-        rt = math.sqrt(M)
-        keep &= (rt - psi) > cutoff * rt
+    psi, w, w0 = _model_fields(grid, field, params)
+    keep = _truncation_mask(params, psi, cutoff)
     integrand = np.zeros_like(psi)
-    np.divide(2 * psi * psi * (w0 - g.w), den**3, out=integrand, where=keep)
+    np.divide(2 * psi * psi * (w0 - w), (M - psi * psi)**3, out=integrand, where=keep)
     interior = integrate_area(grid, integrand)
 
     # On a degenerate (zero-slope) boundary the term |grad u|/(M - psi^2)
@@ -239,7 +243,7 @@ def divergence_identity_residual(grid: CurvGrid, field: ScalarField,
         if degenerate:
             return integrate_boundary(grid, 1.0 / psi[row], which), True
         return (
-            integrate_boundary(grid, np.sqrt(g.w[row]) / (M - psi[row] ** 2), which),
+            integrate_boundary(grid, np.sqrt(w[row]) / (M - psi[row] ** 2), which),
             False,
         )
 
@@ -299,19 +303,11 @@ def refined_pohozaev_check(grid: CurvGrid, field: ScalarField, params: ModelPara
         k = k_ref
     M, ri, ro = params.M, params.r_i, params.r_o
     d = boundary_data_of(params)
-    psi = _psi_of_field(params, field.values)
-    g = gradient_field(grid, field)
-    w0 = model_gradient_sq(params, psi)
-    den = M - psi * psi
-    eps_sing = SINGULAR_CUTOFF * max(1.0, M)
-    keep = np.abs(den) > eps_sing
-    if M > 0:
-        rt = math.sqrt(M)
-        keep &= np.abs(psi - rt) > cutoff * rt
-    phidot = np.zeros_like(psi)
-    bracket = 4 * M * psi * psi - psi**4 - 4 * M * M * np.log(psi) - k
-    np.divide(psi * psi * bracket * (g.w - w0), den**3, out=phidot, where=keep)
-    weighted = integrate_area(grid, phidot)
+    psi, w, w0 = _model_fields(grid, field, params)
+    keep = _truncation_mask(params, psi, cutoff)
+    density = np.zeros_like(psi)
+    density[keep] = refined_phi_dot(params, k, psi[keep]) * (w - w0)[keep]
+    weighted = integrate_area(grid, density)
 
     li = boundary_length(grid.spec, "inner")
     lo = boundary_length(grid.spec, "outer")
@@ -602,10 +598,7 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         case=str(case), ns=grid.ns, ntheta=grid.ntheta, regime_note=note,
         diagnostic_only=diagnostic, neumann_inner=n_in, neumann_outer=n_out,
         pohozaev_res=pohozaev_residual(grid, field, data),
-        solver={"unknowns": stats.unknowns, "iterations": stats.iterations,
-                "residual": stats.residual, "seconds": stats.seconds,
-                "assemble_s": stats.assemble_s, "setup_s": stats.setup_s,
-                "solve_s": stats.solve_s},
+        solver=asdict(stats),
     )
     if params is not None:
         report.model = params

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from serrin import DomainSpec, FourierCurve, read_field
+
 MODEL_A = {"model_params": {"L": 0.0, "M": 4.0, "r_i": 1.0, "r_o": 1.5}}
 UNCOVERED = {"boundary_data": {"a": 1.0, "b": 0.0, "alpha": 0.5, "beta": -0.5}}
 INADMISSIBLE = {"boundary_data": {"a": 0.0, "b": 0.0, "alpha": 0.0, "beta": 0.0}}
@@ -55,7 +57,18 @@ class TestFit:
         {"solver": {"tol": "1e-11"}},
         {"resolution": {"ns": "x"}},
         {"solver": {"method": "iterative"}},
-    ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method"])
+        {"solver": {"method": "auto"}},
+        {"solver": {"max_iter": 2000}},
+        {"domain": {"inner": {"c0": "abc"}, "outer": {"c0": 1.5}}},
+        {"domain": {"inner": {"c0": None}, "outer": {"c0": 1.5}}},
+        {"domain": {"inner": {"c0": "1.0"}, "outer": {"c0": 1.5}}},
+        {"domain": {"inner": {"c0": 1.0, "cos": 5}, "outer": {"c0": 1.5}}},
+        {"domain": {"inner": {"c0": 1.0, "cos": "ab"}, "outer": {"c0": 1.5}}},
+        {"output": {"csv": 7}},
+        {"output": {"field": 7}},
+    ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method",
+            "auto_method", "max_iter", "string_c0", "null_c0", "numeric_string_c0",
+            "scalar_cos", "string_cos", "int_csv_path", "int_field_path"])
     def test_bad_key_exits_2(self, tmp_path, extra):
         cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
         proc = run_cli("fit", cfg)
@@ -73,7 +86,7 @@ class TestSolve:
         payload = {
             **MODEL_A,
             "resolution": {"ns": 17, "ntheta": 32},
-            "solver": {"tol": 1e-11, "method": "auto", "max_iter": 2000},
+            "solver": {"tol": 1e-11},
             "output": {"field": str(out)},
         }
         cfg = write_cfg(tmp_path, "solve.json", payload)
@@ -83,6 +96,25 @@ class TestSolve:
         lines = out.read_text().splitlines()
         assert lines[1].split()[:2] == ["17", "32"]
         assert len(lines) == 3 + 17 * 32
+
+    def test_zero_amplitude_keeps_padded_domain_hash(self, tmp_path):
+        # a perturbation block applies even at amplitude 0: the inner curve
+        # gets zero cos coefficients up to the harmonic, and so its own hash
+        out = tmp_path / "u.dat"
+        payload = {
+            **MODEL_A,
+            "resolution": {"ns": 17, "ntheta": 32},
+            "perturbation": {"target": "inner", "harmonic": 3,
+                             "kind": "cos", "amplitude": 0.0},
+            "output": {"field": str(out)},
+        }
+        cfg = write_cfg(tmp_path, "solve.json", payload)
+        assert run_cli("solve", cfg).returncode == 0
+        padded = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * 3),
+                            outer=FourierCurve(c0=1.5))
+        meta, _ = read_field(str(out))
+        assert meta["domain_hash"] == padded.spec_hash()
+        assert padded.spec_hash() != DomainSpec.circles(1.0, 1.5).spec_hash()
 
     def test_reruns_byte_identical(self, tmp_path):
         out = tmp_path / "u.dat"
@@ -211,6 +243,13 @@ class TestSweep:
         payload["sweep"] = sweep
         cfg = write_cfg(tmp_path, "sweep.json", payload)
         assert run_cli("sweep", cfg).returncode == 2
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_bad_perturbation_target_exits_2(self, tmp_path, command):
+        payload = self.payload(tmp_path)
+        payload["perturbation"]["target"] = "middle"
+        cfg = write_cfg(tmp_path, "sweep.json", payload)
+        assert run_cli(command, cfg).returncode == 2
 
     def test_error_rows_reported(self, tmp_path):
         # an ns value below the grid minimum must land in the error column

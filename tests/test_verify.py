@@ -276,6 +276,7 @@ class TestFullReport:
         assert back["case"] == "Increasing"
         assert {"iterations", "residual", "seconds", "assemble_s", "setup_s",
                 "solve_s"} <= set(back["solver"])
+        assert back["solver"]["residuals"][-1] == back["solver"]["residual"]
         assert "divergence_identity" in back
         assert "refined_identity" not in back
         assert back["resolution"] == {"ns": 49, "ntheta": 48}
