@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError, SerrinError
-from .geometry import DomainSpec, build_grid
+from .geometry import MAX_DEGREE, DomainSpec, build_grid
 from .models import (
     BoundaryData,
     ModelParams,
@@ -28,7 +28,7 @@ from .models import (
     fit_model,
 )
 from .solver import SolveOptions, manufactured_field, mms_convergence, solve_dirichlet, write_field
-from .verify import CSV_COLUMNS, evaluate_checks, full_report
+from .verify import CSV_COLUMNS, error_row, evaluate_checks, format_value, full_report
 
 _TOP_KEYS = {
     "boundary_data", "model_params", "domain", "perturbation",
@@ -36,10 +36,6 @@ _TOP_KEYS = {
 }
 _DEFAULT_NS = 65
 _DEFAULT_NTHETA = 64
-
-
-def _fmt(v) -> str:
-    return f"{v:.12g}"
 
 
 def _number(value, where, integer=False):
@@ -98,10 +94,13 @@ class Scenario:
 def _load_scenario(args) -> Scenario:
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            # an integer too long for a float parses as +-inf, as 1e400 does
+            cfg = json.load(fh, parse_int=lambda s: int(s) if len(s) < 300 else float(s))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read config: {e}")
+    except (ValueError, RecursionError) as e:  # also bad UTF-8 and deep nesting
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -153,8 +152,11 @@ def _load_scenario(args) -> Scenario:
         _need(pert, {"target", "harmonic", "kind", "amplitude"}, "'perturbation'")
         target, kind = pert["target"], pert["kind"]
         harmonic = _number(pert["harmonic"], "perturbation.harmonic", integer=True)
-        if target not in ("inner", "outer") or kind not in ("cos", "sin") or harmonic < 1:
-            raise ConfigError("perturbation needs target inner/outer, kind cos/sin, harmonic >= 1")
+        # checked before Scenario.domain pads the coefficients up to the harmonic
+        if (target not in ("inner", "outer") or kind not in ("cos", "sin")
+                or not 1 <= harmonic <= MAX_DEGREE):
+            raise ConfigError("perturbation needs target inner/outer, kind cos/sin, "
+                              f"harmonic in 1..{MAX_DEGREE}")
         perturbation = (target, kind, harmonic)
         eps = _number(pert["amplitude"], "perturbation.amplitude")
     if getattr(args, "eps", None) is not None:
@@ -185,7 +187,7 @@ def cmd_fit(args) -> int:
     params = fit_model(s.data)
     print(f"case: {case}")
     for name in ("L", "M", "r_i", "r_o"):
-        print(f"{name} = {_fmt(getattr(params, name))}")
+        print(f"{name} = {format_value(getattr(params, name))}")
     print(f"|F(M)| = {abs(compatibility(s.data, params.M)):.3e}")
     return 0
 
@@ -221,7 +223,7 @@ def cmd_verify(args) -> int:
     if "csv" in s.output:
         _write_csv(s.output["csv"], [report.csv_row(eps=s.eps)])
         print(f"csv: {s.output['csv']}")
-    failed = sum(1 for c in checks if c.gated and not (c.passed or c.waived))
+    failed = sum(c.failed for c in checks)
     print(f"verification: {'PASS' if ok else f'FAIL ({failed} checks)'}")
     case = ProblemCase(report.case)
     if case is ProblemCase.DECREASING_UNCOVERED:
@@ -251,6 +253,7 @@ def cmd_sweep(args) -> int:
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep values must be a nonempty list")
     values = [_number(v, "sweep.values", integer=parameter != "eps") for v in values]
+    s.domain(eps=0.0)  # a config error exits before any row; per-point errors stay in-row
 
     def run_one(v):
         eps, ns, ntheta = s.eps, s.ns, s.ntheta
@@ -264,22 +267,18 @@ def cmd_sweep(args) -> int:
             report = full_report(s.domain(eps=eps), s.data, ns, ntheta, s.options)
             return report.csv_row(eps=eps)
         except Exception as e:  # recorded in-row; the sweep continues
-            case = str(classify_case(s.data))
-            row = [case, str(ns), str(ntheta), _fmt(eps)] + [""] * 10
-            row.append(f"{type(e).__name__}: {e}")
-            return row
+            return error_row(str(classify_case(s.data)), ns, ntheta, eps,
+                             f"{type(e).__name__}: {e}")
 
-    workers = min(_threads(), len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, values))
-    else:
-        rows = [run_one(v) for v in values]
+    with ThreadPoolExecutor(max_workers=min(_threads(), len(values))) as pool:
+        rows = list(pool.map(run_one, values))
     path = s.output.get("csv", "sweep.csv")
     _write_csv(path, rows)
     for v, row in zip(values, rows):
-        tail = f"error={row[-1]}" if row[-1] else f"sd_inner={row[4]} sd_outer={row[5]}"
-        print(f"{parameter}={_fmt(v)}: case={row[0]} {tail}")
+        cell = dict(zip(CSV_COLUMNS, row))
+        tail = (f"error={cell['error']}" if cell["error"] else
+                f"sd_inner={cell['neumann_sd_inner']} sd_outer={cell['neumann_sd_outer']}")
+        print(f"{parameter}={format_value(v)}: case={cell['case']} {tail}")
     print(f"csv: {path}")
     return 0
 
@@ -306,7 +305,7 @@ def cmd_mms(args) -> int:
         print(f"n={n:<5d} h={h:.6e} linf={li:.6e} l2={l2:.6e}")
     print(result.describe())
     if "csv" in s.output:
-        rows = [[n, _fmt(h), _fmt(li), _fmt(l2)]
+        rows = [[n, format_value(h), format_value(li), format_value(l2)]
                 for n, h, li, l2 in zip(result.sizes, result.hs, result.linf, result.l2)]
         _write_csv(s.output["csv"], rows, header=["n", "h", "linf", "l2"])
         print(f"csv: {s.output['csv']}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidDomainError, InvalidInputError
 
-_MAX_DEGREE = 16
+MAX_DEGREE = 16
 _VALIDATION_SAMPLES = 4096
 
 
@@ -30,9 +30,9 @@ def _is_real(v) -> bool:
 
 def _check_coeffs(name, coeffs):
     vals = tuple(float(v) for v in coeffs)
-    if len(vals) > _MAX_DEGREE:
+    if len(vals) > MAX_DEGREE:
         raise InvalidDomainError(
-            f"{name} harmonics above degree {_MAX_DEGREE} are not supported"
+            f"{name} harmonics above degree {MAX_DEGREE} are not supported"
         )
     if not all(math.isfinite(v) for v in vals):
         raise InvalidDomainError(f"{name} coefficients must be finite")

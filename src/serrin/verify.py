@@ -71,15 +71,40 @@ _CLIP_TOL = 1e-8
 # Curve samples for boundary_distance.
 _DISTANCE_SAMPLES = 8192
 
-CSV_COLUMNS = [
-    "case", "Ns", "Ntheta", "eps",
-    "neumann_sd_inner", "neumann_sd_outer", "pohozaev_res", "grad_margin",
-    "area_margin_in", "area_margin_out", "div_identity_res",
-    "refined_identity_res", "case1_margin", "expansion_coeff", "error",
+# The gated checks in report order: check name and CSV column, TOLERANCES
+# key, comparison kind, and the report's value (None when inapplicable).
+# "ge" checks compare against -tolerance; the expansion check gates
+# coefficient + 1 while its CSV cell holds the coefficient; only the two
+# Neumann checks are gated on every report and can be waived.
+_CHECKS = [
+    ("neumann_sd_inner", "neumann_sd", "abs_le", lambda r: r.neumann_inner.sd),
+    ("neumann_sd_outer", "neumann_sd", "abs_le", lambda r: r.neumann_outer.sd),
+    ("pohozaev_res", "pohozaev", "abs_le", lambda r: r.pohozaev_res),
+    ("grad_margin", "grad_margin", "le", lambda r: r.grad_margin),
+    ("area_margin_in", "area_margin", "le", lambda r: r.area_margin_in),
+    ("area_margin_out", "area_margin", "ge", lambda r: r.area_margin_out),
+    ("div_identity_res", "div_identity", "abs_le",
+     lambda r: getattr(r.divergence, "residual", None)),
+    ("refined_identity_res", "refined_identity", "abs_le",
+     lambda r: getattr(r.refined, "identity_residual", None)),
+    ("case1_margin", "case1_margin", "ge",
+     lambda r: getattr(r.refined, "case1_margin", None)),
+    ("expansion_coeff", "expansion", "abs_le",
+     lambda r: getattr(r.expansion, "coefficient", None)),
 ]
 
+# Comparison kind -> (printed operator, test of value against limit).
+_COMPARISONS = {
+    "abs_le": ("|value| <=", lambda v, limit: abs(v) <= limit),
+    "le": ("value <=", lambda v, limit: v <= limit),
+    "ge": ("value >=", lambda v, limit: v >= limit),
+}
 
-def _fmt(v) -> str:
+CSV_COLUMNS = ["case", "Ns", "Ntheta", "eps", *(c[0] for c in _CHECKS), "error"]
+
+
+def format_value(v) -> str:
+    """A number to 12 significant digits; ``None`` (inapplicable) to ``""``."""
     if v is None:
         return ""
     return f"{v:.12g}"
@@ -454,17 +479,14 @@ class VerificationReport:
             "regime_note": self.regime_note,
             "diagnostic_only": self.diagnostic_only,
             "neumann": {
-                "inner": vars(self.neumann_inner).copy(),
-                "outer": vars(self.neumann_outer).copy(),
+                "inner": asdict(self.neumann_inner),
+                "outer": asdict(self.neumann_outer),
             },
             "pohozaev_residual": self.pohozaev_res,
             "tolerances": dict(TOLERANCES),
         }
         if self.model is not None:
-            out["model"] = {
-                "L": self.model.L, "M": self.model.M,
-                "r_i": self.model.r_i, "r_o": self.model.r_o,
-            }
+            out["model"] = asdict(self.model)
             out["fit_residual"] = self.fit_residual
         if self.grad_margin is not None:
             out["gradient_bound"] = {
@@ -474,28 +496,23 @@ class VerificationReport:
             out["area_margins"] = {
                 "inner": self.area_margin_in, "outer": self.area_margin_out,
             }
-        if self.divergence is not None:
-            out["divergence_identity"] = vars(self.divergence).copy()
-        if self.refined is not None:
-            out["refined_identity"] = vars(self.refined).copy()
-        if self.expansion is not None:
-            out["expansion"] = vars(self.expansion).copy()
+        for key, block in [("divergence_identity", self.divergence),
+                           ("refined_identity", self.refined),
+                           ("expansion", self.expansion)]:
+            if block is not None:
+                out[key] = asdict(block)
         if self.solver is not None:
             out["solver"] = dict(self.solver)
         return out
 
-    def csv_row(self, eps: float = 0.0, error: str = "") -> list:
-        div_res = self.divergence.residual if self.divergence else None
-        ref_res = self.refined.identity_residual if self.refined else None
-        margin = self.refined.case1_margin if self.refined else None
-        coeff = self.expansion.coefficient if self.expansion else None
-        return [
-            self.case, str(self.ns), str(self.ntheta), _fmt(eps),
-            _fmt(self.neumann_inner.sd), _fmt(self.neumann_outer.sd),
-            _fmt(self.pohozaev_res), _fmt(self.grad_margin),
-            _fmt(self.area_margin_in), _fmt(self.area_margin_out),
-            _fmt(div_res), _fmt(ref_res), _fmt(margin), _fmt(coeff), error,
-        ]
+    def csv_row(self, eps: float = 0.0) -> list:
+        cells = [format_value(value(self)) for *_, value in _CHECKS]
+        return [self.case, str(self.ns), str(self.ntheta), format_value(eps), *cells, ""]
+
+
+def error_row(case: str, ns: int, ntheta: int, eps: float, error: str) -> list:
+    """CSV row of a run that raised: every check cell empty, ``error`` last."""
+    return [case, str(ns), str(ntheta), format_value(eps), *[""] * len(_CHECKS), error]
 
 
 @dataclass
@@ -503,21 +520,22 @@ class CheckResult:
     name: str
     value: float
     limit: float
-    kind: str  # "abs_le", "le" or "ge"
+    kind: str  # a key of _COMPARISONS: "abs_le", "le" or "ge"
     passed: bool
     gated: bool = True
     waived: bool = False
 
+    @property
+    def failed(self) -> bool:
+        """Gated, and neither passed nor waived."""
+        return self.gated and not (self.passed or self.waived)
+
     def describe(self) -> str:
-        op = {"abs_le": "|value| <=", "le": "value <=", "ge": "value >="}[self.kind]
-        if self.passed:
-            status = "PASS"
-        elif self.waived:
-            status = "PASS (expected asymmetric)"
-        elif not self.gated:
-            status = "DIAG"
+        op = _COMPARISONS[self.kind][0]
+        if self.passed or self.waived:
+            status = "PASS" if self.passed else "PASS (expected asymmetric)"
         else:
-            status = "FAIL"
+            status = "FAIL" if self.failed else "DIAG"
         return f"{self.name:<22} {self.value: .6e}  {op} {self.limit:.1e}  {status}"
 
 
@@ -530,42 +548,21 @@ def evaluate_checks(report: VerificationReport, expect_asymmetric: bool = False)
     ``expect_asymmetric`` turns Neumann failures into waived passes.
     """
     checks = []
-
-    def add(name, value, limit, kind, gate=True, waive=False):
+    for name, key, kind, value_of in _CHECKS:
+        value = value_of(report)
         if value is None:
-            return
-        if kind == "abs_le":
-            ok = abs(value) <= limit
-        elif kind == "le":
-            ok = value <= limit
-        else:
-            ok = value >= limit
-        checks.append(CheckResult(name, float(value), limit, kind,
-                                  passed=ok, gated=gate, waived=(not ok) and waive))
-
-    sd_tol = TOLERANCES["neumann_sd"]
-    add("neumann_sd_inner", report.neumann_inner.sd, sd_tol, "abs_le",
-        waive=expect_asymmetric)
-    add("neumann_sd_outer", report.neumann_outer.sd, sd_tol, "abs_le",
-        waive=expect_asymmetric)
-    gate = not report.diagnostic_only
-    add("pohozaev_res", report.pohozaev_res, TOLERANCES["pohozaev"], "abs_le", gate)
-    add("grad_margin", report.grad_margin, TOLERANCES["grad_margin"], "le", gate)
-    add("area_margin_in", report.area_margin_in, TOLERANCES["area_margin"], "le", gate)
-    add("area_margin_out", report.area_margin_out, -TOLERANCES["area_margin"], "ge", gate)
-    if report.divergence is not None:
-        add("div_identity_res", report.divergence.residual,
-            TOLERANCES["div_identity"], "abs_le", gate)
-    if report.refined is not None:
-        add("refined_identity_res", report.refined.identity_residual,
-            TOLERANCES["refined_identity"], "abs_le", gate)
-        add("case1_margin", report.refined.case1_margin,
-            -TOLERANCES["case1_margin"], "ge", gate)
-    if report.expansion is not None:
-        add("expansion_coeff", report.expansion.coefficient + 1.0,
-            TOLERANCES["expansion"], "abs_le", gate)
-    ok = all(c.passed or c.waived or not c.gated for c in checks)
-    return checks, ok
+            continue
+        if name == "expansion_coeff":
+            value += 1.0
+        limit = -TOLERANCES[key] if kind == "ge" else TOLERANCES[key]
+        passed = _COMPARISONS[kind][1](value, limit)
+        neumann = key == "neumann_sd"
+        checks.append(CheckResult(
+            name, float(value), limit, kind, passed,
+            gated=neumann or not report.diagnostic_only,
+            waived=neumann and expect_asymmetric and not passed,
+        ))
+    return checks, not any(c.failed for c in checks)
 
 
 def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,

@@ -1,13 +1,15 @@
-"""End-to-end tests of the command line interface via subprocess."""
+"""End-to-end tests of the command line interface, mostly via subprocess."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from serrin import DomainSpec, FourierCurve, read_field
+from serrin import CSV_COLUMNS, DomainSpec, FourierCurve, cli, read_field
 
 MODEL_A = {"model_params": {"L": 0.0, "M": 4.0, "r_i": 1.0, "r_o": 1.5}}
 UNCOVERED = {"boundary_data": {"a": 1.0, "b": 0.0, "alpha": 0.5, "beta": -0.5}}
@@ -64,11 +66,18 @@ class TestFit:
         {"domain": {"inner": {"c0": "1.0"}, "outer": {"c0": 1.5}}},
         {"domain": {"inner": {"c0": 1.0, "cos": 5}, "outer": {"c0": 1.5}}},
         {"domain": {"inner": {"c0": 1.0, "cos": "ab"}, "outer": {"c0": 1.5}}},
+        {"domain": {"inner": {"c0": 1.0}, "outer": {"c0": 1.5, "sin": [-10**400]}}},
         {"output": {"csv": 7}},
         {"output": {"field": 7}},
+        {"perturbation": {"target": "inner", "harmonic": 17, "kind": "cos", "amplitude": 0.0}},
+        {"perturbation": {"target": "inner", "harmonic": 10**9, "kind": "cos",
+                          "amplitude": 0.0}},
+        {"resolution": {"ns": 10**400}},
+        {"solver": {"tol": 10**400}},
     ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method",
             "auto_method", "max_iter", "string_c0", "null_c0", "numeric_string_c0",
-            "scalar_cos", "string_cos", "int_csv_path", "int_field_path"])
+            "scalar_cos", "string_cos", "huge_sin", "int_csv_path", "int_field_path",
+            "harmonic_17", "harmonic_huge", "huge_ns", "huge_tol"])
     def test_bad_key_exits_2(self, tmp_path, extra):
         cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
         proc = run_cli("fit", cfg)
@@ -78,6 +87,22 @@ class TestFit:
         cfg = write_cfg(tmp_path, "both.json", {**MODEL_A, **UNCOVERED})
         proc = run_cli("fit", cfg)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("content", [
+        b'{"model_params": "\xff"}',
+        b"[" * 100_000,
+        b'{"solver": {"tol": ' + b"1" * 5000 + b"}}",
+        None,
+    ], ids=["bad_utf8", "deep_nesting", "overlong_integer", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        proc = run_cli("fit", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 class TestSolve:
@@ -251,15 +276,37 @@ class TestSweep:
         cfg = write_cfg(tmp_path, "sweep.json", payload)
         assert run_cli(command, cfg).returncode == 2
 
-    def test_error_rows_reported(self, tmp_path):
-        # an ns value below the grid minimum must land in the error column
+    @pytest.mark.parametrize("sweep, error", [
+        ({"parameter": "ns", "values": [33, 5]}, "InvalidInputError: "),
+        ({"parameter": "eps", "values": [0.05, 0.9]}, "InvalidDomainError: "),
+    ], ids=["ns", "eps"])
+    def test_error_rows_reported(self, tmp_path, sweep, error):
+        # an ns below the grid minimum, or an amplitude at which the curves
+        # cross, lands in its own row's error column; the sweep still exits 0
         payload = self.payload(tmp_path)
-        payload["sweep"] = {"parameter": "ns", "values": [33, 5]}
+        payload["sweep"] = sweep
         cfg = write_cfg(tmp_path, "sweep.json", payload)
         assert run_cli("sweep", cfg).returncode == 0
-        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 3
-        assert rows[2].split(",")[-1] != ""
+        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+        assert rows[1][-1] == ""
+        assert rows[2][-1].startswith(error)
+
+    @pytest.mark.parametrize("case", ["harmonic_17", "no_domain"])
+    def test_config_error_exits_before_rows(self, tmp_path, case):
+        payload = self.payload(tmp_path)
+        if case == "harmonic_17":
+            payload["perturbation"]["harmonic"] = 17
+        else:
+            del payload["model_params"]
+            payload["boundary_data"] = {"a": -0.0, "b": 0.5, "alpha": 3.0, "beta": 1.4}
+        cfg = write_cfg(tmp_path, "sweep.json", payload)
+        proc = run_cli("sweep", cfg)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestMms:
@@ -309,3 +356,49 @@ class TestEntryPoint:
                 "sys.exit('scipy.sparse' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+# Words of the config schema, so that fuzzed objects often reach past the key checks.
+_CONFIG_WORDS = ["L", "M", "r_i", "r_o", "ns", "ntheta", "tol", "inner", "outer", "c0",
+                 "cos", "sin", "target", "harmonic", "kind", "amplitude", "report", "csv",
+                 "field"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(10**400)
+    | st.text(max_size=6) | st.sampled_from(_CONFIG_WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_CONFIG_WORDS) | st.text(max_size=6), inner, max_size=5),
+    max_leaves=12,
+)
+_FUZZ_BASE = {
+    **MODEL_A,
+    "resolution": {"ns": 17, "ntheta": 16},
+    "solver": {"tol": 1e-10},
+    "domain": {"inner": {"c0": 1.0}, "outer": {"c0": 1.5, "cos": [0.0, 0.1]}},
+    "perturbation": {"target": "inner", "harmonic": 3, "kind": "cos", "amplitude": 0.05},
+    "output": {"csv": "sweep.csv"},
+}
+
+
+def _one_entry_replaced(block):
+    return st.sampled_from(sorted(block)).flatmap(lambda k: _JSON.map(lambda v: {**block, k: v}))
+
+
+# (key, value): one top-level key replaced by random JSON or by its valid
+# block with one entry replaced.
+_FUZZED_KEY = st.sampled_from(sorted(_FUZZ_BASE)).flatmap(
+    lambda key: st.tuples(st.just(key), _JSON | _one_entry_replaced(_FUZZ_BASE[key])))
+
+
+class TestConfigFuzz:
+    """Random JSON in one key of a valid config never escapes as a traceback.
+
+    Runs ``fit`` in-process, which reads the whole config but builds no grid.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(key_value=_FUZZED_KEY)
+    def test_fit_exits_with_a_code(self, tmp_path_factory, key_value):
+        key, value = key_value
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps({**_FUZZ_BASE, key: value}))
+        assert cli.main(["fit", str(path)]) in (0, 2, 3, 4)

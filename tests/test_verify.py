@@ -1,6 +1,7 @@
 """Tests for the identity checks, report assembly and gating."""
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ from serrin import (
 from serrin.verify import (
     CSV_COLUMNS,
     TOLERANCES,
+    DivergenceIdentityResult,
+    ExpansionResult,
+    NeumannStats,
+    RefinedPohozaevResult,
+    VerificationReport,
     area_bound_check,
     boundary_distance,
     degenerate_expansion_check,
@@ -319,3 +325,115 @@ class TestFullReport:
             "neumann_sd", "pohozaev", "grad_margin", "area_margin",
             "div_identity", "refined_identity", "case1_margin", "expansion",
         }
+
+
+def _hand_report(case, diagnostic, sd_in, sd_out, pohozaev, with_model):
+    blocks = {}
+    if with_model:
+        blocks = dict(
+            model=ModelParams(L=0.0, M=4.0, r_i=1.0, r_o=1.5), fit_residual=0.0,
+            grad_margin=0.01, grad_margin_at=(1.0, 0.0),
+            area_margin_in=-0.25, area_margin_out=0.5,
+            divergence=DivergenceIdentityResult(0.005, 6.0, 6.25, 6.25, 1e-4, 3, False),
+            refined=RefinedPohozaevResult(-0.03, -0.025, 2.5, 1.0, 0.5, 0.25, 1e-4, 0),
+            expansion=ExpansionResult("inner", -1.05, 2e-4, 0.0625, 40),
+        )
+    return VerificationReport(
+        case=case, ns=33, ntheta=32, regime_note="note", diagnostic_only=diagnostic,
+        neumann_inner=NeumannStats(1.5, sd_in, 0.01),
+        neumann_outer=NeumannStats(-0.5, sd_out, 0.02),
+        pohozaev_res=pohozaev, **blocks,
+    )
+
+
+# Each row: (name, value, limit, kind, passed, gated, waived) and describe().
+_MODEL_ROWS = [
+    ("grad_margin", 0.01, 0.005, "le"),
+    ("area_margin_in", -0.25, 1e-08, "le"),
+    ("area_margin_out", 0.5, -1e-08, "ge"),
+    ("div_identity_res", 0.005, 0.01, "abs_le"),
+    ("refined_identity_res", -0.03, 0.02, "abs_le"),
+    ("case1_margin", -0.025, -0.02, "ge"),
+    ("expansion_coeff", -0.050000000000000044, 0.1, "abs_le"),
+]
+_MODEL_LINES = [
+    ("grad_margin             1.000000e-02  value <= 5.0e-03", False),
+    ("area_margin_in         -2.500000e-01  value <= 1.0e-08", True),
+    ("area_margin_out         5.000000e-01  value >= -1.0e-08", True),
+    ("div_identity_res        5.000000e-03  |value| <= 1.0e-02", True),
+    ("refined_identity_res   -3.000000e-02  |value| <= 2.0e-02", False),
+    ("case1_margin           -2.500000e-02  value >= -2.0e-02", False),
+    ("expansion_coeff        -5.000000e-02  |value| <= 1.0e-01", True),
+]
+_MODEL_CELLS = ["0.01", "-0.25", "0.5", "0.005", "-0.03", "-0.025", "-1.05", ""]
+
+
+def _model_expectation(gated):
+    checks = [row + (passed, gated, False)
+              for row, (_, passed) in zip(_MODEL_ROWS, _MODEL_LINES)]
+    status = "FAIL" if gated else "DIAG"
+    lines = [f"{text}  {'PASS' if passed else status}" for text, passed in _MODEL_LINES]
+    return checks, lines
+
+
+class TestCheckTable:
+    """Golden check lists, verdicts, describe() lines and CSV rows of hand-built reports."""
+
+    def test_every_block_non_diagnostic(self):
+        rep = _hand_report("Increasing", False, 0.004, 0.0025, -0.001, True)
+        model_checks, model_lines = _model_expectation(gated=True)
+        for asym in (False, True):
+            checks, ok = evaluate_checks(rep, expect_asymmetric=asym)
+            assert not ok
+            assert [astuple(c) for c in checks] == [
+                ("neumann_sd_inner", 0.004, 0.01, "abs_le", True, True, False),
+                ("neumann_sd_outer", 0.0025, 0.01, "abs_le", True, True, False),
+                ("pohozaev_res", -0.001, 0.005, "abs_le", True, True, False),
+            ] + model_checks
+            assert [c.describe() for c in checks] == [
+                "neumann_sd_inner        4.000000e-03  |value| <= 1.0e-02  PASS",
+                "neumann_sd_outer        2.500000e-03  |value| <= 1.0e-02  PASS",
+                "pohozaev_res           -1.000000e-03  |value| <= 5.0e-03  PASS",
+            ] + model_lines
+        assert rep.csv_row(eps=0.25) == [
+            "Increasing", "33", "32", "0.25", "0.004", "0.0025", "-0.001",
+        ] + _MODEL_CELLS
+
+    @pytest.mark.parametrize("asym", [False, True], ids=["strict", "expect_asymmetric"])
+    def test_diagnostic(self, asym):
+        rep = _hand_report("Increasing", True, 0.003, 0.04, 0.0075, True)
+        model_checks, model_lines = _model_expectation(gated=False)
+        checks, ok = evaluate_checks(rep, expect_asymmetric=asym)
+        assert ok is asym
+        assert [astuple(c) for c in checks] == [
+            ("neumann_sd_inner", 0.003, 0.01, "abs_le", True, True, False),
+            ("neumann_sd_outer", 0.04, 0.01, "abs_le", False, True, asym),
+            ("pohozaev_res", 0.0075, 0.005, "abs_le", False, False, False),
+        ] + model_checks
+        outer = "PASS (expected asymmetric)" if asym else "FAIL"
+        assert [c.describe() for c in checks] == [
+            "neumann_sd_inner        3.000000e-03  |value| <= 1.0e-02  PASS",
+            f"neumann_sd_outer        4.000000e-02  |value| <= 1.0e-02  {outer}",
+            "pohozaev_res            7.500000e-03  |value| <= 5.0e-03  DIAG",
+        ] + model_lines
+        assert rep.csv_row(eps=0.25) == [
+            "Increasing", "33", "32", "0.25", "0.003", "0.04", "0.0075",
+        ] + _MODEL_CELLS
+
+    def test_unfitted_has_no_model_checks(self):
+        rep = _hand_report("DecreasingUncovered", False, 0.0125, 0.001, 0.002, False)
+        checks, ok = evaluate_checks(rep)
+        assert not ok
+        assert [astuple(c) for c in checks] == [
+            ("neumann_sd_inner", 0.0125, 0.01, "abs_le", False, True, False),
+            ("neumann_sd_outer", 0.001, 0.01, "abs_le", True, True, False),
+            ("pohozaev_res", 0.002, 0.005, "abs_le", True, True, False),
+        ]
+        assert [c.describe() for c in checks] == [
+            "neumann_sd_inner        1.250000e-02  |value| <= 1.0e-02  FAIL",
+            "neumann_sd_outer        1.000000e-03  |value| <= 1.0e-02  PASS",
+            "pohozaev_res            2.000000e-03  |value| <= 5.0e-03  PASS",
+        ]
+        assert rep.csv_row(eps=0.25) == [
+            "DecreasingUncovered", "33", "32", "0.25", "0.0125", "0.001", "0.002",
+        ] + [""] * 8
