@@ -253,7 +253,9 @@ def cmd_sweep(args) -> int:
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep values must be a nonempty list")
     values = [_number(v, "sweep.values", integer=parameter != "eps") for v in values]
-    s.domain(eps=0.0)  # a config error exits before any row; per-point errors stay in-row
+    # A config error exits before any row; per-point errors stay in-row.  Only
+    # an eps sweep varies the domain, so any other sweep builds it once here.
+    spec = s.domain(eps=0.0) if parameter == "eps" else s.domain()
 
     def run_one(v):
         eps, ns, ntheta = s.eps, s.ns, s.ntheta
@@ -264,7 +266,8 @@ def cmd_sweep(args) -> int:
         else:
             ntheta = v
         try:
-            report = full_report(s.domain(eps=eps), s.data, ns, ntheta, s.options)
+            domain = s.domain(eps=eps) if parameter == "eps" else spec
+            report = full_report(domain, s.data, ns, ntheta, s.options)
             return report.csv_row(eps=eps)
         except Exception as e:  # recorded in-row; the sweep continues
             return error_row(str(classify_case(s.data)), ns, ntheta, eps,

@@ -295,6 +295,15 @@ def pseudo_radius(params: ModelParams, value):
     profile (or NaN) raise :class:`OutOfRangeError`.  Solved by vectorised
     bisection alone, run until each bracket is two adjacent floats; the end
     whose profile value is nearer ``value`` is returned.
+
+    A sweep evaluates ``u(mid)`` into preallocated buffers and moves the
+    bracket ends without a masked select: the comparison becomes a 0/1
+    float ``step``, and ``lo = max(lo, mid*step)``, ``hi = max(mid, hi*step)``
+    keep ``lo`` or move it to ``mid`` (step 1), or move ``hi`` to ``mid``
+    (step 0).  This is exact because ``0 < lo <= mid <= hi``, and it costs
+    a fraction of ``np.where``'s data-dependent select.  The in-loop ``u``
+    must equal :func:`model_u` bit for bit (same operations in the same
+    order), or comparisons near the root flip and ``psi`` moves by an ulp.
     """
     arr, scalar = _as_array(value)
     ua = model_u(params, params.r_i)
@@ -305,19 +314,37 @@ def pseudo_radius(params: ModelParams, value):
         raise OutOfRangeError(
             f"value outside the profile range [{lo_v:.12g}, {hi_v:.12g}] by {worst:.3e}"
         )
-    increasing = params.case is ProblemCase.INCREASING
+    # step = 1 where lo moves to mid: u(mid) <= value on an increasing
+    # profile, u(mid) > value on a decreasing one.
+    lo_moves = np.less_equal if params.case is ProblemCase.INCREASING else np.greater
+    L, M = params.L, params.M
     lo = np.full(arr.shape, params.r_i)
     hi = np.full(arr.shape, params.r_o)
-    mid = 0.5 * (lo + hi)
-    while np.any((lo < mid) & (mid < hi)):
-        above = model_u(params, mid) > arr
-        if increasing:
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        else:
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        mid = 0.5 * (lo + hi)
+    mid = np.empty_like(lo)
+    u = np.empty_like(lo)
+    step = np.empty_like(lo)
+    live = np.empty(arr.shape, dtype=bool)
+    live_hi = np.empty_like(live)
+    while True:
+        np.add(lo, hi, out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        np.less(lo, mid, out=live)
+        np.less(mid, hi, out=live_hi)
+        np.logical_and(live, live_hi, out=live)
+        if not live.any():
+            break
+        # u = L - 0.5*mid*mid + M*log(mid), in model_u's order
+        np.multiply(mid, 0.5, out=u)
+        np.multiply(u, mid, out=u)
+        np.subtract(L, u, out=u)
+        np.log(mid, out=step)
+        np.multiply(step, M, out=step)
+        np.add(u, step, out=u)
+        lo_moves(u, arr, out=step)
+        np.multiply(hi, step, out=u)
+        np.maximum(mid, u, out=hi)
+        np.multiply(mid, step, out=u)
+        np.maximum(lo, u, out=lo)
     nearer_hi = np.abs(model_u(params, hi) - arr) < np.abs(model_u(params, lo) - arr)
     return _ret(np.where(nearer_hi, hi, lo), scalar)
 

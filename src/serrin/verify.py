@@ -13,6 +13,8 @@ quadratic boundary expansion at a degenerate (zero-slope) boundary.
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -470,6 +472,7 @@ class VerificationReport:
     refined: Optional[RefinedPohozaevResult] = None
     expansion: Optional[ExpansionResult] = None
     solver: Optional[dict] = None
+    timings: Optional[dict] = None
 
     def to_dict(self) -> dict:
         """JSON-ready tree; inapplicable checks are omitted, never zeroed."""
@@ -503,6 +506,8 @@ class VerificationReport:
                 out[key] = asdict(block)
         if self.solver is not None:
             out["solver"] = dict(self.solver)
+        if self.timings is not None:
+            out["timings"] = dict(self.timings)
         return out
 
     def csv_row(self, eps: float = 0.0) -> list:
@@ -565,25 +570,39 @@ def evaluate_checks(report: VerificationReport, expect_asymmetric: bool = False)
     return checks, not any(c.failed for c in checks)
 
 
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Record the wall seconds spent in the ``with`` body as ``timings[stage]``."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
 def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
                 options: Optional[SolveOptions] = None) -> VerificationReport:
     """Solve the torsion problem and run every applicable identity check.
 
     Model-based checks are run for covered regimes only; for unproven or
     inadmissible data the report is limited to Neumann statistics, the area
-    balance and the expansion probe, and says so in ``regime_note``.
+    balance and the expansion probe, and says so in ``regime_note``.  The
+    report's ``timings`` holds the seconds spent in each stage that ran.
     """
+    timings = {}
     case = classify_case(data)
     params = None
     fit_residual = None
     if case in (ProblemCase.INCREASING, ProblemCase.DECREASING_COVERED):
-        params = fit_model(data)
-        fit_residual = abs(compatibility(data, params.M))
-    grid = build_grid(spec, ns, ntheta)
-    field, stats = solve_dirichlet(grid, -2.0, data.a, data.b, options)
+        with _timed(timings, "fit"):
+            params = fit_model(data)
+            fit_residual = abs(compatibility(data, params.M))
+    with _timed(timings, "grid"):
+        grid = build_grid(spec, ns, ntheta)
+    with _timed(timings, "solve"):
+        field, stats = solve_dirichlet(grid, -2.0, data.a, data.b, options)
 
-    n_in = neumann_constancy(neumann_trace(grid, field, "inner"), grid.inner_arc_w)
-    n_out = neumann_constancy(neumann_trace(grid, field, "outer"), grid.outer_arc_w)
+    with _timed(timings, "traces"):
+        n_in = neumann_constancy(neumann_trace(grid, field, "inner"), grid.inner_arc_w)
+        n_out = neumann_constancy(neumann_trace(grid, field, "outer"), grid.outer_arc_w)
     diagnostic = (n_in.sd > TOLERANCES["neumann_sd"]
                   or n_out.sd > TOLERANCES["neumann_sd"])
     note = _REGIME_NOTES[case]
@@ -591,22 +610,28 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         note += ("; Neumann trace is not constant at this resolution, "
                  "model-based checks are diagnostic only")
 
+    with _timed(timings, "pohozaev"):
+        pohozaev_res = pohozaev_residual(grid, field, data)
     report = VerificationReport(
         case=str(case), ns=grid.ns, ntheta=grid.ntheta, regime_note=note,
         diagnostic_only=diagnostic, neumann_inner=n_in, neumann_outer=n_out,
-        pohozaev_res=pohozaev_residual(grid, field, data),
-        solver=asdict(stats),
+        pohozaev_res=pohozaev_res, solver=asdict(stats), timings=timings,
     )
     if params is not None:
         report.model = params
         report.fit_residual = fit_residual
-        report.grad_margin, report.grad_margin_at = gradient_bound_margin(
-            grid, field, params
-        )
-        report.area_margin_in, report.area_margin_out = area_bound_check(spec, params)
+        with _timed(timings, "gradient_bound"):
+            report.grad_margin, report.grad_margin_at = gradient_bound_margin(
+                grid, field, params
+            )
+        with _timed(timings, "area_margins"):
+            report.area_margin_in, report.area_margin_out = area_bound_check(spec, params)
         if case is ProblemCase.INCREASING:
-            report.divergence = divergence_identity_residual(grid, field, params)
+            with _timed(timings, "divergence_identity"):
+                report.divergence = divergence_identity_residual(grid, field, params)
         else:
-            report.refined = refined_pohozaev_check(grid, field, params)
-    report.expansion = degenerate_expansion_check(grid, field)
+            with _timed(timings, "refined_identity"):
+                report.refined = refined_pohozaev_check(grid, field, params)
+    with _timed(timings, "expansion"):
+        report.expansion = degenerate_expansion_check(grid, field)
     return report

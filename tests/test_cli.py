@@ -294,11 +294,15 @@ class TestSweep:
         assert rows[1][-1] == ""
         assert rows[2][-1].startswith(error)
 
-    @pytest.mark.parametrize("case", ["harmonic_17", "no_domain"])
+    @pytest.mark.parametrize("case", ["harmonic_17", "no_domain", "crossing_ns"])
     def test_config_error_exits_before_rows(self, tmp_path, case):
         payload = self.payload(tmp_path)
         if case == "harmonic_17":
             payload["perturbation"]["harmonic"] = 17
+        elif case == "crossing_ns":
+            # the config amplitude makes the curves cross in every row
+            payload["perturbation"]["amplitude"] = 0.9
+            payload["sweep"] = {"parameter": "ns", "values": [17, 33]}
         else:
             del payload["model_params"]
             payload["boundary_data"] = {"a": -0.0, "b": 0.5, "alpha": 3.0, "beta": 1.4}

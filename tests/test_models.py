@@ -227,6 +227,26 @@ class TestFit:
                 assert abs(x - y) <= 1e-8 * scale
 
 
+def _reference_pseudo_radius(params, value):
+    """Bisection with ``np.where`` selects: the reference ``pseudo_radius`` must match."""
+    arr = np.asarray(value, dtype=float)
+    increasing = params.case is ProblemCase.INCREASING
+    lo = np.full(arr.shape, params.r_i)
+    hi = np.full(arr.shape, params.r_o)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        above = model_u(params, mid) > arr
+        if increasing:
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        else:
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        mid = 0.5 * (lo + hi)
+    nearer_hi = np.abs(model_u(params, hi) - arr) < np.abs(model_u(params, lo) - arr)
+    return np.where(nearer_hi, hi, lo)
+
+
 class TestPseudoRadius:
     def test_inverts_profile(self, model_a, model_c):
         for p in (model_a, model_c):
@@ -271,6 +291,23 @@ class TestPseudoRadius:
         bound = (4 * eps * (abs(p.L) + psi * psi / 2 + p.M * np.abs(np.log(psi)))
                  + np.abs(model_u_prime(p, psi)) * np.spacing(psi))
         assert np.all(np.abs(model_u(p, psi) - v) <= bound)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(["increasing", "decreasing", "B", "D"]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_bisection(self, seed, model, model_b, model_d):
+        # Both ends, their neighbouring floats inside the range and random
+        # interior values, as an array and one by one as 0-d input.
+        rng = np.random.default_rng(seed)
+        gens = {"increasing": random_increasing, "decreasing": random_decreasing}
+        p = gens[model](rng) if model in gens else {"B": model_b, "D": model_d}[model]
+        ends = model_u(p, np.array([p.r_i, p.r_o]))
+        lo, hi = ends.min(), ends.max()
+        v = np.concatenate([ends, [np.nextafter(lo, hi), np.nextafter(hi, lo)],
+                            rng.uniform(lo, hi, 60)])
+        assert np.array_equal(pseudo_radius(p, v), _reference_pseudo_radius(p, v))
+        for x in v[:8]:
+            assert pseudo_radius(p, np.array(x)) == _reference_pseudo_radius(p, np.array(x))
 
 
 class TestGradientSq:

@@ -286,6 +286,10 @@ class TestFullReport:
         assert "divergence_identity" in back
         assert "refined_identity" not in back
         assert back["resolution"] == {"ns": 49, "ntheta": 48}
+        assert set(back["timings"]) == {
+            "fit", "grid", "solve", "traces", "pohozaev", "gradient_bound",
+            "area_margins", "divergence_identity", "expansion"}
+        assert all(t >= 0 for t in back["timings"].values())
 
     def test_csv_row_shape(self, model_a):
         spec = DomainSpec.circles(model_a.r_i, model_a.r_o)
