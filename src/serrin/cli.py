@@ -2,7 +2,8 @@
 
 Scenarios are JSON files; see the README for the schema.  Exit codes:
 0 success, 1 a gated verification check failed, 2 invalid input or
-configuration, 3 boundary data in the unproven regime, 4 numerical failure.
+configuration or an output file that cannot be written, 3 boundary data in
+the unproven regime, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError, SerrinError
-from .geometry import MAX_DEGREE, DomainSpec, build_grid
+from .geometry import MAX_DEGREE, SIDES, DomainSpec, build_grid
 from .models import (
     BoundaryData,
     ModelParams,
@@ -83,7 +84,7 @@ class Scenario:
         if self.perturbation is None and eps == 0.0:
             return self.base
         target, kind, harmonic = self.perturbation or ("inner", "cos", 3)
-        curve = getattr(self.base, target)
+        curve = self.base.curve(target)
         key = f"{kind}_coeffs"
         coeffs = list(getattr(curve, key))
         coeffs += [0.0] * (harmonic - len(coeffs))
@@ -153,7 +154,7 @@ def _load_scenario(args) -> Scenario:
         target, kind = pert["target"], pert["kind"]
         harmonic = _number(pert["harmonic"], "perturbation.harmonic", integer=True)
         # checked before Scenario.domain pads the coefficients up to the harmonic
-        if (target not in ("inner", "outer") or kind not in ("cos", "sin")
+        if (target not in SIDES or kind not in ("cos", "sin")
                 or not 1 <= harmonic <= MAX_DEGREE):
             raise ConfigError("perturbation needs target inner/outer, kind cos/sin, "
                               f"harmonic in 1..{MAX_DEGREE}")
@@ -165,8 +166,9 @@ def _load_scenario(args) -> Scenario:
     output = cfg.get("output", {})
     if not isinstance(output, dict) or set(output) - {"report", "csv", "field"}:
         raise ConfigError("'output' allows only 'report', 'csv' and 'field'")
-    if not all(isinstance(v, str) for v in output.values()):
-        raise ConfigError("'output' values must be file paths (strings)")
+    # open() raises ValueError, not OSError, on a path with a NUL character
+    if not all(isinstance(v, str) and v and "\0" not in v for v in output.values()):
+        raise ConfigError("'output' values must be file paths (nonempty strings without NUL)")
     return Scenario(cfg=cfg, data=data, params=params, base=base,
                     perturbation=perturbation, ns=ns, ntheta=ntheta, eps=eps,
                     options=options, output=output)
@@ -350,6 +352,9 @@ def main(argv=None) -> int:
     except SerrinError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except OSError as e:  # an output that cannot be written (config reads raise ConfigError)
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,9 +23,19 @@ from .errors import InvalidDomainError, InvalidInputError
 MAX_DEGREE = 16
 _VALIDATION_SAMPLES = 4096
 
+# The two boundary components, in grid-row order.
+SIDES = ("inner", "outer")
+
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _side(which) -> int:
+    """Index of a side name in :data:`SIDES`; rejects any other name."""
+    if which not in SIDES:
+        raise InvalidInputError("which must be 'inner' or 'outer'")
+    return SIDES.index(which)
 
 
 def _check_coeffs(name, coeffs):
@@ -176,6 +186,10 @@ class DomainSpec:
                 "outer curve must stay strictly outside the inner curve"
             )
 
+    def curve(self, which: str) -> FourierCurve:
+        """The ``"inner"`` or ``"outer"`` boundary curve."""
+        return (self.inner, self.outer)[_side(which)]
+
     @classmethod
     def circles(cls, r_i: float, r_o: float) -> "DomainSpec":
         return cls(inner=FourierCurve(c0=r_i), outer=FourierCurve(c0=r_o))
@@ -232,19 +246,15 @@ class CurvGrid:
     inner_normal: np.ndarray = field(repr=False)
     outer_normal: np.ndarray = field(repr=False)
 
+    def row(self, which: str) -> int:
+        """Grid row of the ``"inner"`` (0) or ``"outer"`` (ns - 1) boundary."""
+        return (0, self.ns - 1)[_side(which)]
+
     def arc_weights(self, which: str) -> np.ndarray:
-        if which == "inner":
-            return self.inner_arc_w
-        if which == "outer":
-            return self.outer_arc_w
-        raise InvalidInputError("which must be 'inner' or 'outer'")
+        return (self.inner_arc_w, self.outer_arc_w)[_side(which)]
 
     def outward_normal(self, which: str) -> np.ndarray:
-        if which == "inner":
-            return self.inner_normal
-        if which == "outer":
-            return self.outer_normal
-        raise InvalidInputError("which must be 'inner' or 'outer'")
+        return (self.inner_normal, self.outer_normal)[_side(which)]
 
 
 def _blend(rho_i, rho_o, s):
@@ -275,7 +285,6 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
 
     r = _blend(rho_i, rho_o, s)
     r_s = (rho_o - rho_i)[None, :]
-    r_t = _blend(drho_i, drho_o, s)
     x = r * np.cos(theta)[None, :]
     y = r * np.sin(theta)[None, :]
     jac = r * r_s
@@ -305,51 +314,36 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     ws[0] = ws[-1] = 0.5 * ds
     area_w = jac * ws[:, None] * dtheta
 
-    inner_arc_w = spec.inner.speed(theta) * dtheta
-    outer_arc_w = spec.outer.speed(theta) * dtheta
-
-    inner_normal = _outward_normal(spec.inner, theta, flip=True)
-    outer_normal = _outward_normal(spec.outer, theta, flip=False)
-
+    # Arc weights are FourierCurve.speed times dtheta.  The domain-outward
+    # normal on the inner boundary is the negative of the curve's normal.
     return CurvGrid(
         spec=spec, ns=ns, ntheta=ntheta, ds=ds, dtheta=dtheta, s=s, theta=theta,
         r=r, x=x, y=y, jac=jac, area_w=area_w,
         coef_a=coef_a, coef_b_s=coef_b_s, coef_b_t=coef_b_t, coef_c=coef_c,
-        inner_arc_w=inner_arc_w, outer_arc_w=outer_arc_w,
-        inner_normal=inner_normal, outer_normal=outer_normal,
+        inner_arc_w=np.sqrt(rho_i * rho_i + drho_i * drho_i) * dtheta,
+        outer_arc_w=np.sqrt(rho_o * rho_o + drho_o * drho_o) * dtheta,
+        inner_normal=-_normal(rho_i, drho_i, theta),
+        outer_normal=_normal(rho_o, drho_o, theta),
     )
 
 
-def _outward_normal(curve: FourierCurve, theta, flip: bool):
-    # Right-hand normal of the counterclockwise parametrization points away
-    # from the enclosed disk; the domain-outward normal on the inner boundary
-    # is its negative.
-    rho = curve.radius(theta)
-    dp = curve.radius_prime(theta)
+def _normal(rho, dp, theta):
+    # Right-hand normal of the counterclockwise parametrization: it points
+    # away from the enclosed disk.
     tx = dp * np.cos(theta) - rho * np.sin(theta)
     ty = dp * np.sin(theta) + rho * np.cos(theta)
     norm = np.hypot(tx, ty)
-    nx, ny = ty / norm, -tx / norm
-    if flip:
-        nx, ny = -nx, -ny
-    return np.stack([nx, ny])
+    return np.stack([ty / norm, -tx / norm])
 
 
 def boundary_length(spec: DomainSpec, which: str, n: int = 8192) -> float:
     """Arc length of one boundary component."""
-    curve = spec.inner if which == "inner" else spec.outer if which == "outer" else None
-    if curve is None:
-        raise InvalidInputError("which must be 'inner' or 'outer'")
-    return curve.length(n)
+    return spec.curve(which).length(n)
 
 
 def boundary_curvature(spec: DomainSpec, which: str, theta):
     """Curvature of one boundary component at the given angles."""
-    if which == "inner":
-        return spec.inner.curvature(theta)
-    if which == "outer":
-        return spec.outer.curvature(theta)
-    raise InvalidInputError("which must be 'inner' or 'outer'")
+    return spec.curve(which).curvature(theta)
 
 
 def region_areas(spec: DomainSpec):

@@ -312,9 +312,8 @@ def gradient_field(grid: CurvGrid, field: ScalarField) -> GradientField:
 
 def neumann_trace(grid: CurvGrid, field: ScalarField, which: str) -> np.ndarray:
     """Outward normal derivative along one boundary row."""
+    row, normal = grid.row(which), grid.outward_normal(which)
     g = gradient_field(grid, field)
-    row = 0 if which == "inner" else -1
-    normal = grid.outward_normal(which)
     return g.gx[row] * normal[0] + g.gy[row] * normal[1]
 
 
@@ -376,16 +375,16 @@ def mms_convergence(spec: DomainSpec, exact: Union[ManufacturedField, ModelParam
                     options: Optional[SolveOptions] = None) -> MmsResult:
     """Manufactured-solution convergence study on square grids.
 
-    Each entry of ``sizes`` is used for both grid directions.  Errors below
-    1e-12 relative to the field magnitude are reported as ``exact`` with no
-    fitted order; otherwise the slopes of log-error against log-h are fitted
-    by least squares for both norms.
+    Each entry of ``sizes``, of which at least two must differ, is used for
+    both grid directions.  Errors below 1e-12 relative to the field magnitude
+    are reported as ``exact`` with no fitted order; otherwise the slopes of
+    log-error against log-h are fitted by least squares for both norms.
     """
     if isinstance(exact, ModelParams):
         exact = manufactured_field("model", exact)
     sizes = [int(n) for n in sizes]
-    if len(sizes) < 2:
-        raise InvalidInputError("mms needs at least two grid sizes")
+    if len(set(sizes)) < 2:  # one log h would leave the fitted order arbitrary
+        raise InvalidInputError("mms needs at least two distinct grid sizes")
     hs, linf, l2, scale = [], [], [], 0.0
     for n in sizes:
         grid = build_grid(spec, n, n)

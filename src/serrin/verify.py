@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InconsistentModelError, InvalidInputError, UnsupportedRegimeError
 from .geometry import (
+    SIDES,
     CurvGrid,
     DomainSpec,
     boundary_length,
@@ -132,14 +133,24 @@ def neumann_constancy(values, weights=None) -> NeumannStats:
                         max_dev=float(np.max(np.abs(vals - mean))))
 
 
+def _neumann_stats(grid: CurvGrid, field: ScalarField):
+    """Arc-weighted statistics of the Neumann trace on each side, in SIDES order."""
+    return [neumann_constancy(neumann_trace(grid, field, which), grid.arc_weights(which))
+            for which in SIDES]
+
+
+def _boundary_mean(grid: CurvGrid, field: ScalarField, which: str) -> float:
+    """Arc-weighted mean of the field along one boundary row."""
+    w = grid.arc_weights(which)
+    return float(np.sum(field.values[grid.row(which)] * w) / np.sum(w))
+
+
 def measured_boundary_data(grid: CurvGrid, field: ScalarField) -> BoundaryData:
     """Boundary data read off a field: arc-averaged values and traces."""
-    wi, wo = grid.inner_arc_w, grid.outer_arc_w
-    a = float(np.sum(field.values[0] * wi) / np.sum(wi))
-    b = float(np.sum(field.values[-1] * wo) / np.sum(wo))
-    alpha = neumann_constancy(neumann_trace(grid, field, "inner"), wi).mean
-    beta = neumann_constancy(neumann_trace(grid, field, "outer"), wo).mean
-    return BoundaryData(a=a, b=b, alpha=alpha, beta=beta)
+    n_in, n_out = _neumann_stats(grid, field)
+    return BoundaryData(a=_boundary_mean(grid, field, "inner"),
+                        b=_boundary_mean(grid, field, "outer"),
+                        alpha=n_in.mean, beta=n_out.mean)
 
 
 def fit_from_field(grid: CurvGrid, field: ScalarField):
@@ -265,17 +276,15 @@ def divergence_identity_residual(grid: CurvGrid, field: ScalarField,
     # neighbourhood of sqrt(M), not just at the hard singular cutoff.
     rt = math.sqrt(M) if M > 0 else 0.0
 
-    def _boundary_term(row, radius, which):
-        degenerate = M > 0 and (rt - radius) <= cutoff * rt
-        if degenerate:
+    def _boundary_term(which):
+        row = grid.row(which)
+        radius = params.r_i if which == "inner" else params.r_o
+        if M > 0 and (rt - radius) <= cutoff * rt:
             return integrate_boundary(grid, 1.0 / psi[row], which), True
-        return (
-            integrate_boundary(grid, np.sqrt(w[row]) / (M - psi[row] ** 2), which),
-            False,
-        )
+        return integrate_boundary(grid, np.sqrt(w[row]) / (M - psi[row] ** 2), which), False
 
-    inner_term, _ = _boundary_term(0, params.r_i, "inner")
-    outer_term, outer_limit_used = _boundary_term(-1, params.r_o, "outer")
+    inner_term, _ = _boundary_term("inner")
+    outer_term, outer_limit_used = _boundary_term("outer")
     return DivergenceIdentityResult(
         residual=float(interior - (inner_term - outer_term)),
         interior=float(interior),
@@ -370,9 +379,7 @@ def boundary_distance(grid: CurvGrid, which: str, rows=None):
     sample of the curve; the sampling error is quadratic in the sample
     spacing.  Returns an array shaped ``(len(rows), ntheta)``.
     """
-    if which not in ("inner", "outer"):
-        raise InvalidInputError("which must be 'inner' or 'outer'")
-    curve = grid.spec.inner if which == "inner" else grid.spec.outer
+    curve = grid.spec.curve(which)
     rows = np.arange(grid.ns) if rows is None else np.asarray(rows, dtype=int)
     if np.any((rows < 0) | (rows >= grid.ns)):
         raise InvalidInputError(f"rows must lie in [0, {grid.ns})")
@@ -410,25 +417,18 @@ def degenerate_expansion_check(grid: CurvGrid,
     h the first interior layer width.  Returns ``None`` when no boundary
     qualifies.
     """
-    cands = []
-    for which in ("inner", "outer"):
-        tr = neumann_trace(grid, field, which)
-        stats = neumann_constancy(tr, grid.arc_weights(which))
-        if abs(stats.mean) < _DEGENERATE_NEUMANN:
-            cands.append((abs(stats.mean), which, stats.mean))
+    cands = [(abs(stats.mean), which, stats.mean)
+             for which, stats in zip(SIDES, _neumann_stats(grid, field))
+             if abs(stats.mean) < _DEGENERATE_NEUMANN]
     if not cands:
         return None
     _, which, mean = min(cands)
-    ns = grid.ns
-    if which == "inner":
-        row0, rows = 0, np.arange(1, min(ns - 1, 17))
-    else:
-        row0, rows = ns - 1, np.arange(max(1, ns - 17), ns - 1)
-    w = grid.arc_weights(which)
-    c = float(np.sum(field.values[row0] * w) / np.sum(w))
+    # the (up to 16) interior rows nearest the boundary, in grid order
+    row0 = grid.row(which)
+    rows = np.sort(np.abs(row0 - np.arange(1, min(grid.ns - 1, 17))))
+    c = _boundary_mean(grid, field, which)
     dist = boundary_distance(grid, which, rows)
-    first = dist[0] if which == "inner" else dist[-1]
-    h = float(np.median(first))
+    h = float(np.median(dist[np.abs(rows - row0) == 1]))
     sel = (dist >= 0.999 * h) & (dist <= 10.001 * h)
     if not np.any(sel):
         return None
@@ -601,8 +601,7 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         field, stats = solve_dirichlet(grid, -2.0, data.a, data.b, options)
 
     with _timed(timings, "traces"):
-        n_in = neumann_constancy(neumann_trace(grid, field, "inner"), grid.inner_arc_w)
-        n_out = neumann_constancy(neumann_trace(grid, field, "outer"), grid.outer_arc_w)
+        n_in, n_out = _neumann_stats(grid, field)
     diagnostic = (n_in.sd > TOLERANCES["neumann_sd"]
                   or n_out.sd > TOLERANCES["neumann_sd"])
     note = _REGIME_NOTES[case]

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from serrin import CSV_COLUMNS, DomainSpec, FourierCurve, cli, read_field
 
@@ -69,6 +69,8 @@ class TestFit:
         {"domain": {"inner": {"c0": 1.0}, "outer": {"c0": 1.5, "sin": [-10**400]}}},
         {"output": {"csv": 7}},
         {"output": {"field": 7}},
+        {"output": {"csv": ""}},
+        {"output": {"report": "a\u0000b"}},
         {"perturbation": {"target": "inner", "harmonic": 17, "kind": "cos", "amplitude": 0.0}},
         {"perturbation": {"target": "inner", "harmonic": 10**9, "kind": "cos",
                           "amplitude": 0.0}},
@@ -77,6 +79,7 @@ class TestFit:
     ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method",
             "auto_method", "max_iter", "string_c0", "null_c0", "numeric_string_c0",
             "scalar_cos", "string_cos", "huge_sin", "int_csv_path", "int_field_path",
+            "empty_csv_path", "nul_report_path",
             "harmonic_17", "harmonic_huge", "huge_ns", "huge_tol"])
     def test_bad_key_exits_2(self, tmp_path, extra):
         cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
@@ -353,6 +356,22 @@ class TestEntryPoint:
         for sub in ("fit", "solve", "verify", "sweep", "mms"):
             assert sub in proc.stdout
 
+    @pytest.mark.parametrize("command, key", [
+        ("solve", "field"), ("verify", "report"), ("sweep", "csv"), ("mms", "csv"),
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, command, key):
+        payload = {
+            **MODEL_A,
+            "resolution": {"ns": 17, "ntheta": 16},
+            "sweep": {"parameter": "eps", "values": [0.0]},
+            "mms": {"sizes": [17, 33]},
+            "output": {key: str(tmp_path / "missing" / "out")},
+        }
+        proc = run_cli(command, write_cfg(tmp_path, "out.json", payload))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_import_skips_scipy_sparse(self):
         # SciPy is imported by the solver on first use, so that `import
         # serrin`, `serrin fit` and `--help` do not pay for it.
@@ -396,7 +415,8 @@ _FUZZED_KEY = st.sampled_from(sorted(_FUZZ_BASE)).flatmap(
 class TestConfigFuzz:
     """Random JSON in one key of a valid config never escapes as a traceback.
 
-    Runs ``fit`` in-process, which reads the whole config but builds no grid.
+    Runs ``fit``, which reads the whole config but builds no grid, and
+    ``verify`` on a 17x16 grid, in-process.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -406,3 +426,23 @@ class TestConfigFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         path.write_text(json.dumps({**_FUZZ_BASE, key: value}))
         assert cli.main(["fit", str(path)]) in (0, 2, 3, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(key_value=_FUZZED_KEY)
+    def test_verify_exits_with_a_code(self, tmp_path_factory, key_value):
+        key, value = key_value
+        # output paths are relative to the working directory; keep them inside it
+        paths = value.values() if key == "output" and isinstance(value, dict) else ()
+        assume(not any(isinstance(p, str) and (os.path.isabs(p) or ".." in p)
+                       for p in paths))
+        work = tmp_path_factory.getbasetemp() / "verify-fuzz"
+        work.mkdir(exist_ok=True)
+        path = work / "fuzz.json"
+        path.write_text(json.dumps({**_FUZZ_BASE, key: value}))
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            code = cli.main(["verify", str(path), "--ns", "17", "--ntheta", "16"])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3, 4)

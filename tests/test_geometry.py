@@ -187,8 +187,10 @@ class TestGrid:
         assert boundary_length(wavy_domain(), "inner") == pytest.approx(
             WAVY_LEN, rel=1e-12
         )
-        with pytest.raises(InvalidInputError):
-            boundary_length(spec, "middle")
+        grid = build_grid(spec, 9, 16)
+        for lookup in (lambda w: boundary_length(spec, w), spec.curve, grid.row):
+            with pytest.raises(InvalidInputError, match="which must be"):
+                lookup("middle")
 
     def test_boundary_curvature_dispatch(self):
         spec = wavy_domain()
@@ -231,9 +233,28 @@ class TestGrid:
         for which, sign in (("inner", -1.0), ("outer", 1.0)):
             n = g.outward_normal(which)
             assert np.hypot(n[0], n[1]) == pytest.approx(np.ones(64), rel=1e-13)
-            row = 0 if which == "inner" else -1
-            radial = n[0] * g.x[row] + n[1] * g.y[row]
+            radial = n[0] * g.x[g.row(which)] + n[1] * g.y[g.row(which)]
             assert np.all(sign * radial > 0)
+
+    def test_boundary_samples_are_the_curves(self):
+        # rows, arc weights and normals sample each curve bit for bit
+        spec = DomainSpec(
+            inner=FourierCurve(c0=1.0, cos_coeffs=(0.1, 0.0, 0.05), sin_coeffs=(0.02, 0.03)),
+            outer=FourierCurve(c0=2.0, cos_coeffs=(0.0, 0.1), sin_coeffs=(0.05,)),
+        )
+        g = build_grid(spec, 9, 48)
+        th = g.theta
+        for which, sign in (("inner", -1.0), ("outer", 1.0)):
+            curve = spec.curve(which)
+            assert curve is getattr(spec, which)
+            x, y = curve.point(th)
+            assert np.array_equal(g.x[g.row(which)], x) and np.array_equal(g.y[g.row(which)], y)
+            assert np.array_equal(g.arc_weights(which), curve.speed(th) * g.dtheta)
+            rho, dp = curve.radius(th), curve.radius_prime(th)
+            tx = dp * np.cos(th) - rho * np.sin(th)
+            ty = dp * np.sin(th) + rho * np.cos(th)
+            unit = np.stack([ty, -tx]) / np.hypot(tx, ty)
+            assert np.array_equal(g.outward_normal(which), sign * unit)
 
     def test_quadrature_order_on_curved_integrand(self, model_a):
         # area rule is nominally second order; measure on a smooth integrand

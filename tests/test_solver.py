@@ -192,6 +192,8 @@ class TestMms:
         with pytest.raises(InvalidInputError):
             mms_convergence(spec, manufactured_field("constant"), [17])
         with pytest.raises(InvalidInputError):
+            mms_convergence(spec, manufactured_field("constant"), [17, 17])
+        with pytest.raises(InvalidInputError):
             manufactured_field("cubic")
         with pytest.raises(InvalidInputError):
             manufactured_field("model")
@@ -252,9 +254,11 @@ class TestNeumannTrace:
         fld = ScalarField(grid=g, values=np.full((17, 32), 2.0))
         assert np.max(np.abs(neumann_trace(g, fld, "inner"))) == 0.0
 
-    def test_which_validation(self):
+    def test_which_validation(self, monkeypatch):
         g = build_grid(DomainSpec.circles(1.0, 2.0), 9, 16)
         fld = ScalarField(grid=g, values=np.zeros((9, 16)))
+        # the side is checked before any gradient is computed
+        monkeypatch.setattr(solver_module, "gradient_field", None)
         with pytest.raises(InvalidInputError):
             neumann_trace(g, fld, "both")
 
