@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -57,7 +56,6 @@ def _need(mapping, keys, where):
 
 @dataclass
 class Scenario:
-    cfg: dict
     data: BoundaryData
     params: Optional[ModelParams]
     base: Optional[DomainSpec]
@@ -68,6 +66,10 @@ class Scenario:
     eps: float
     options: SolveOptions
     output: dict
+    # (parameter, values); None when the config has no 'sweep'
+    sweep: Optional[tuple]
+    # (sizes, exact kind); None when the config has no 'mms'
+    mms: Optional[tuple]
 
     def domain(self, eps: Optional[float] = None) -> DomainSpec:
         """The base domain perturbed at amplitude ``eps`` (default: the config's).
@@ -169,18 +171,39 @@ def _load_scenario(args) -> Scenario:
     # open() raises ValueError, not OSError, on a path with a NUL character
     if not all(isinstance(v, str) and v and "\0" not in v for v in output.values()):
         raise ConfigError("'output' values must be file paths (nonempty strings without NUL)")
-    return Scenario(cfg=cfg, data=data, params=params, base=base,
-                    perturbation=perturbation, ns=ns, ntheta=ntheta, eps=eps,
-                    options=options, output=output)
+    for key, path in output.items():  # checked before any solve
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"output.{key}: directory {folder!r} does not exist")
 
+    sweep = None
+    if "sweep" in cfg:
+        sw = cfg["sweep"]
+        _need(sw, {"parameter", "values"}, "'sweep'")
+        parameter, values = sw["parameter"], sw["values"]
+        if parameter not in ("eps", "ns", "ntheta"):
+            raise ConfigError("sweep parameter must be one of eps, ns, ntheta")
+        if not isinstance(values, list) or not values:
+            raise ConfigError("sweep values must be a nonempty list")
+        sweep = (parameter,
+                 [_number(v, "sweep.values", integer=parameter != "eps") for v in values])
 
-def _threads() -> int:
-    raw = os.environ.get("SERRIN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SERRIN_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+    mms = None
+    if "mms" in cfg:
+        mc = cfg["mms"]
+        if not isinstance(mc, dict) or set(mc) - {"sizes", "exact"}:
+            raise ConfigError("'mms' allows only 'sizes' and 'exact'")
+        sizes = mc.get("sizes", [33, 65, 129])
+        if not isinstance(sizes, list):
+            raise ConfigError("mms sizes must be a list")
+        kind = mc.get("exact", "model")
+        if not isinstance(kind, str):  # the kind names live in manufactured_field
+            raise ConfigError(f"mms exact must be a string, got {kind!r}")
+        mms = ([_number(n, "mms.sizes", integer=True) for n in sizes], kind)
+
+    return Scenario(data=data, params=params, base=base, perturbation=perturbation,
+                    ns=ns, ntheta=ntheta, eps=eps, options=options, output=output,
+                    sweep=sweep, mms=mms)
 
 
 def cmd_fit(args) -> int:
@@ -244,17 +267,9 @@ def _write_csv(path, rows, header=CSV_COLUMNS):
 
 def cmd_sweep(args) -> int:
     s = _load_scenario(args)
-    sw = s.cfg.get("sweep")
-    if sw is None:
+    if s.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' config block")
-    _need(sw, {"parameter", "values"}, "'sweep'")
-    parameter = sw["parameter"]
-    values = sw["values"]
-    if parameter not in ("eps", "ns", "ntheta"):
-        raise ConfigError("sweep parameter must be one of eps, ns, ntheta")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep values must be a nonempty list")
-    values = [_number(v, "sweep.values", integer=parameter != "eps") for v in values]
+    parameter, values = s.sweep
     # A config error exits before any row; per-point errors stay in-row.  Only
     # an eps sweep varies the domain, so any other sweep builds it once here.
     spec = s.domain(eps=0.0) if parameter == "eps" else s.domain()
@@ -275,8 +290,7 @@ def cmd_sweep(args) -> int:
             return error_row(str(classify_case(s.data)), ns, ntheta, eps,
                              f"{type(e).__name__}: {e}")
 
-    with ThreadPoolExecutor(max_workers=min(_threads(), len(values))) as pool:
-        rows = list(pool.map(run_one, values))
+    rows = [run_one(v) for v in values]
     path = s.output.get("csv", "sweep.csv")
     _write_csv(path, rows)
     for v, row in zip(values, rows):
@@ -290,16 +304,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_mms(args) -> int:
     s = _load_scenario(args)
-    mc = s.cfg.get("mms")
-    if mc is None:
+    if s.mms is None:
         raise ConfigError("mms command needs an 'mms' config block")
-    if not isinstance(mc, dict) or set(mc) - {"sizes", "exact"}:
-        raise ConfigError("'mms' allows only 'sizes' and 'exact'")
-    sizes = mc.get("sizes", [33, 65, 129])
-    if not isinstance(sizes, list):
-        raise ConfigError("mms sizes must be a list")
-    sizes = [_number(n, "mms.sizes", integer=True) for n in sizes]
-    kind = mc.get("exact", "model")
+    sizes, kind = s.mms
     params = None
     if kind in ("model", "saddle"):
         params = s.params if s.params is not None else fit_model(s.data)

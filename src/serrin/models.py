@@ -128,6 +128,14 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
+def _positive(x, message):
+    """``_as_array(x)``, raising InvalidInputError(message) unless every entry is > 0."""
+    arr, scalar = _as_array(x)
+    if arr.size and not np.all(arr > 0):
+        raise InvalidInputError(message)
+    return arr, scalar
+
+
 def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
@@ -137,18 +145,14 @@ def model_u(params: ModelParams, r):
 
     ``r`` may be a scalar or an array; every entry must be positive.
     """
-    arr, scalar = _as_array(r)
-    if arr.size and not np.all(arr > 0):
-        raise InvalidInputError("model_u requires r > 0")
+    arr, scalar = _positive(r, "model_u requires r > 0")
     out = params.L - 0.5 * arr * arr + params.M * np.log(arr)
     return _ret(out, scalar)
 
 
 def model_u_prime(params: ModelParams, r):
     """Radial derivative ``(M - r^2)/r`` of the model profile."""
-    arr, scalar = _as_array(r)
-    if arr.size and not np.all(arr > 0):
-        raise InvalidInputError("model_u_prime requires r > 0")
+    arr, scalar = _positive(r, "model_u_prime requires r > 0")
     return _ret((params.M - arr * arr) / arr, scalar)
 
 
@@ -351,9 +355,7 @@ def pseudo_radius(params: ModelParams, value):
 
 def model_gradient_sq(params: ModelParams, psi):
     """Squared model gradient ``((M - psi^2)/psi)^2`` at pseudo-radius psi."""
-    arr, scalar = _as_array(psi)
-    if arr.size and not np.all(arr > 0):
-        raise InvalidInputError("model_gradient_sq requires psi > 0")
+    arr, scalar = _positive(psi, "model_gradient_sq requires psi > 0")
     g = (params.M - arr * arr) / arr
     return _ret(g * g, scalar)
 
@@ -398,9 +400,7 @@ def refined_phi(params: ModelParams, k: float, psi):
     Raises :class:`SingularEvaluationError` within the cutoff neighbourhood
     of ``psi = sqrt(M)``.
     """
-    arr, scalar = _as_array(psi)
-    if arr.size and not np.all(arr > 0):
-        raise InvalidInputError("refined_phi requires psi > 0")
+    arr, scalar = _positive(psi, "refined_phi requires psi > 0")
     _singular_guard(params, arr)
     M = params.M
     p2 = arr * arr
@@ -416,9 +416,7 @@ def refined_phi_dot(params: ModelParams, k: float, psi):
     nonnegative on decreasing profiles when ``k = refined_k(params)``.  Same
     singular guard as :func:`refined_phi`.
     """
-    arr, scalar = _as_array(psi)
-    if arr.size and not np.all(arr > 0):
-        raise InvalidInputError("refined_phi_dot requires psi > 0")
+    arr, scalar = _positive(psi, "refined_phi_dot requires psi > 0")
     _singular_guard(params, arr)
     M = params.M
     p2 = arr * arr

@@ -286,7 +286,7 @@ def _d_t(arr, dt):
     return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2 * dt)
 
 
-def gradient_field(grid: CurvGrid, field: ScalarField) -> GradientField:
+def gradient_field(field: ScalarField) -> GradientField:
     """Cartesian gradient and its squared magnitude at every node.
 
     Both the field and the node coordinates are differenced with the same
@@ -294,11 +294,7 @@ def gradient_field(grid: CurvGrid, field: ScalarField) -> GradientField:
     and the 2x2 map is inverted per node, so the reconstruction is exact for
     fields that are affine in x and y regardless of the grid mapping.
     """
-    fg = field.grid
-    if fg is not grid and (fg.ns, fg.ntheta, fg.spec.spec_hash()) != (
-            grid.ns, grid.ntheta, grid.spec.spec_hash()):
-        raise InvalidInputError("field does not match the grid")
-    u = field.values
+    grid, u = field.grid, field.values
     us, ut = _d_s(u, grid.ds), _d_t(u, grid.dtheta)
     xs, xt = _d_s(grid.x, grid.ds), _d_t(grid.x, grid.dtheta)
     ys, yt = _d_s(grid.y, grid.ds), _d_t(grid.y, grid.dtheta)
@@ -310,10 +306,10 @@ def gradient_field(grid: CurvGrid, field: ScalarField) -> GradientField:
     return GradientField(gx=gx, gy=gy, w=gx * gx + gy * gy)
 
 
-def neumann_trace(grid: CurvGrid, field: ScalarField, which: str) -> np.ndarray:
+def neumann_trace(field: ScalarField, which: str) -> np.ndarray:
     """Outward normal derivative along one boundary row."""
-    row, normal = grid.row(which), grid.outward_normal(which)
-    g = gradient_field(grid, field)
+    row, normal = field.grid.row(which), field.grid.outward_normal(which)
+    g = gradient_field(field)
     return g.gx[row] * normal[0] + g.gy[row] * normal[1]
 
 

@@ -133,34 +133,32 @@ def neumann_constancy(values, weights=None) -> NeumannStats:
                         max_dev=float(np.max(np.abs(vals - mean))))
 
 
-def _neumann_stats(grid: CurvGrid, field: ScalarField):
+def _neumann_stats(field: ScalarField):
     """Arc-weighted statistics of the Neumann trace on each side, in SIDES order."""
-    return [neumann_constancy(neumann_trace(grid, field, which), grid.arc_weights(which))
+    return [neumann_constancy(neumann_trace(field, which), field.grid.arc_weights(which))
             for which in SIDES]
 
 
-def _boundary_mean(grid: CurvGrid, field: ScalarField, which: str) -> float:
+def _boundary_mean(field: ScalarField, which: str) -> float:
     """Arc-weighted mean of the field along one boundary row."""
-    w = grid.arc_weights(which)
-    return float(np.sum(field.values[grid.row(which)] * w) / np.sum(w))
+    w = field.grid.arc_weights(which)
+    return float(np.sum(field.values[field.grid.row(which)] * w) / np.sum(w))
 
 
-def measured_boundary_data(grid: CurvGrid, field: ScalarField) -> BoundaryData:
+def measured_boundary_data(field: ScalarField) -> BoundaryData:
     """Boundary data read off a field: arc-averaged values and traces."""
-    n_in, n_out = _neumann_stats(grid, field)
-    return BoundaryData(a=_boundary_mean(grid, field, "inner"),
-                        b=_boundary_mean(grid, field, "outer"),
+    n_in, n_out = _neumann_stats(field)
+    return BoundaryData(a=_boundary_mean(field, "inner"), b=_boundary_mean(field, "outer"),
                         alpha=n_in.mean, beta=n_out.mean)
 
 
-def fit_from_field(grid: CurvGrid, field: ScalarField):
+def fit_from_field(field: ScalarField):
     """Measure boundary data from a field and fit the model to it."""
-    data = measured_boundary_data(grid, field)
+    data = measured_boundary_data(field)
     return data, fit_model(data)
 
 
-def pohozaev_residual(grid: CurvGrid, field: ScalarField,
-                      data: Optional[BoundaryData] = None) -> float:
+def pohozaev_residual(field: ScalarField, data: Optional[BoundaryData] = None) -> float:
     """Residual of the area balance
 
         integral(4u) = (4b + beta^2)|E_o| - (4a + alpha^2)|E_i|,
@@ -169,14 +167,14 @@ def pohozaev_residual(grid: CurvGrid, field: ScalarField,
     ``data`` is omitted the boundary values are measured from the field.
     """
     if data is None:
-        data = measured_boundary_data(grid, field)
-    ei, eo, _ = region_areas(grid.spec)
-    lhs = integrate_area(grid, 4.0 * field.values)
+        data = measured_boundary_data(field)
+    ei, eo, _ = region_areas(field.grid.spec)
+    lhs = integrate_area(field.grid, 4.0 * field.values)
     rhs = (4 * data.b + data.beta**2) * eo - (4 * data.a + data.alpha**2) * ei
     return lhs - rhs
 
 
-def _model_fields(grid: CurvGrid, field: ScalarField, params: ModelParams):
+def _model_fields(field: ScalarField, params: ModelParams):
     """Pseudo-radius ``psi``, ``W = |grad u|^2`` and the model's ``W0(psi)``."""
     ua = model_u(params, params.r_i)
     ub = model_u(params, params.r_o)
@@ -189,7 +187,7 @@ def _model_fields(grid: CurvGrid, field: ScalarField, params: ModelParams):
             f"(allowed {_CLIP_TOL * scale:.3e})"
         )
     psi = pseudo_radius(params, np.clip(field.values, lo, hi))
-    return psi, gradient_field(grid, field).w, model_gradient_sq(params, psi)
+    return psi, gradient_field(field).w, model_gradient_sq(params, psi)
 
 
 def _truncation_mask(params: ModelParams, psi, cutoff: float):
@@ -202,14 +200,15 @@ def _truncation_mask(params: ModelParams, psi, cutoff: float):
     return keep
 
 
-def gradient_bound_margin(grid: CurvGrid, field: ScalarField, params: ModelParams):
+def gradient_bound_margin(field: ScalarField, params: ModelParams):
     """Worst violation of the gradient bound ``W <= W0(psi)``.
 
     Returns ``(margin, (x, y))`` where margin = max(W - W0) over interior
     nodes and (x, y) is the node attaining it.  Nonpositive margins mean the
     bound holds on the grid.
     """
-    _, w, w0 = _model_fields(grid, field, params)
+    grid = field.grid
+    _, w, w0 = _model_fields(field, params)
     inner = (w - w0)[1:-1]
     flat = int(np.argmax(inner))
     i, j = 1 + flat // grid.ntheta, flat % grid.ntheta
@@ -241,8 +240,7 @@ class DivergenceIdentityResult:
     outer_limit_used: bool
 
 
-def divergence_identity_residual(grid: CurvGrid, field: ScalarField,
-                                 params: ModelParams,
+def divergence_identity_residual(field: ScalarField, params: ModelParams,
                                  cutoff: float = DEFAULT_TRUNCATION
                                  ) -> DivergenceIdentityResult:
     """Divergence identity for increasing profiles.
@@ -263,8 +261,8 @@ def divergence_identity_residual(grid: CurvGrid, field: ScalarField,
         raise UnsupportedRegimeError(
             "divergence identity applies to increasing profiles", case=params.case
         )
-    M = params.M
-    psi, w, w0 = _model_fields(grid, field, params)
+    M, grid = params.M, field.grid
+    psi, w, w0 = _model_fields(field, params)
     keep = _truncation_mask(params, psi, cutoff)
     integrand = np.zeros_like(psi)
     np.divide(2 * psi * psi * (w0 - w), (M - psi * psi)**3, out=integrand, where=keep)
@@ -308,7 +306,7 @@ class RefinedPohozaevResult:
     excluded_nodes: int
 
 
-def refined_pohozaev_check(grid: CurvGrid, field: ScalarField, params: ModelParams,
+def refined_pohozaev_check(field: ScalarField, params: ModelParams,
                            k: Optional[float] = None,
                            cutoff: float = DEFAULT_TRUNCATION
                            ) -> RefinedPohozaevResult:
@@ -337,9 +335,9 @@ def refined_pohozaev_check(grid: CurvGrid, field: ScalarField, params: ModelPara
     k_ref = refined_k(params)
     if k is None:
         k = k_ref
-    M, ri, ro = params.M, params.r_i, params.r_o
+    M, ri, ro, grid = params.M, params.r_i, params.r_o, field.grid
     d = boundary_data_of(params)
-    psi, w, w0 = _model_fields(grid, field, params)
+    psi, w, w0 = _model_fields(field, params)
     keep = _truncation_mask(params, psi, cutoff)
     density = np.zeros_like(psi)
     density[keep] = refined_phi_dot(params, k, psi[keep]) * (w - w0)[keep]
@@ -405,8 +403,7 @@ class ExpansionResult:
     n_nodes: int
 
 
-def degenerate_expansion_check(grid: CurvGrid,
-                               field: ScalarField) -> Optional[ExpansionResult]:
+def degenerate_expansion_check(field: ScalarField) -> Optional[ExpansionResult]:
     """Quadratic expansion coefficient at a degenerate boundary.
 
     A boundary qualifies when the arc-averaged Neumann trace is below 1e-3
@@ -418,15 +415,16 @@ def degenerate_expansion_check(grid: CurvGrid,
     qualifies.
     """
     cands = [(abs(stats.mean), which, stats.mean)
-             for which, stats in zip(SIDES, _neumann_stats(grid, field))
+             for which, stats in zip(SIDES, _neumann_stats(field))
              if abs(stats.mean) < _DEGENERATE_NEUMANN]
     if not cands:
         return None
     _, which, mean = min(cands)
     # the (up to 16) interior rows nearest the boundary, in grid order
+    grid = field.grid
     row0 = grid.row(which)
     rows = np.sort(np.abs(row0 - np.arange(1, min(grid.ns - 1, 17))))
-    c = _boundary_mean(grid, field, which)
+    c = _boundary_mean(field, which)
     dist = boundary_distance(grid, which, rows)
     h = float(np.median(dist[np.abs(rows - row0) == 1]))
     sel = (dist >= 0.999 * h) & (dist <= 10.001 * h)
@@ -601,7 +599,7 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         field, stats = solve_dirichlet(grid, -2.0, data.a, data.b, options)
 
     with _timed(timings, "traces"):
-        n_in, n_out = _neumann_stats(grid, field)
+        n_in, n_out = _neumann_stats(field)
     diagnostic = (n_in.sd > TOLERANCES["neumann_sd"]
                   or n_out.sd > TOLERANCES["neumann_sd"])
     note = _REGIME_NOTES[case]
@@ -610,7 +608,7 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
                  "model-based checks are diagnostic only")
 
     with _timed(timings, "pohozaev"):
-        pohozaev_res = pohozaev_residual(grid, field, data)
+        pohozaev_res = pohozaev_residual(field, data)
     report = VerificationReport(
         case=str(case), ns=grid.ns, ntheta=grid.ntheta, regime_note=note,
         diagnostic_only=diagnostic, neumann_inner=n_in, neumann_outer=n_out,
@@ -620,17 +618,15 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         report.model = params
         report.fit_residual = fit_residual
         with _timed(timings, "gradient_bound"):
-            report.grad_margin, report.grad_margin_at = gradient_bound_margin(
-                grid, field, params
-            )
+            report.grad_margin, report.grad_margin_at = gradient_bound_margin(field, params)
         with _timed(timings, "area_margins"):
             report.area_margin_in, report.area_margin_out = area_bound_check(spec, params)
         if case is ProblemCase.INCREASING:
             with _timed(timings, "divergence_identity"):
-                report.divergence = divergence_identity_residual(grid, field, params)
+                report.divergence = divergence_identity_residual(field, params)
         else:
             with _timed(timings, "refined_identity"):
-                report.refined = refined_pohozaev_check(grid, field, params)
+                report.refined = refined_pohozaev_check(field, params)
     with _timed(timings, "expansion"):
-        report.expansion = degenerate_expansion_check(grid, field)
+        report.expansion = degenerate_expansion_check(field)
     return report

@@ -130,7 +130,7 @@ def test_criterion_04_gradient_bound():
         margins = []
         for n in (65, 129):
             grid, field, _ = solve_model(p, n, n)
-            margins.append(gradient_bound_margin(grid, field, p)[0])
+            margins.append(gradient_bound_margin(field, p)[0])
         assert margins[1] <= 5e-3
         worst = max(worst, margins[1])
         # margin shrinks at least linearly under one refinement
@@ -143,7 +143,7 @@ def test_criterion_05_area_balance():
     worst = 0.0
     for p in (MODEL_A, MODEL_B, MODEL_C):
         grid, field, data = solve_model(p, 129, 128)
-        res = pohozaev_residual(grid, field, data)
+        res = pohozaev_residual(field, data)
         worst = max(worst, abs(res))
         assert abs(res) <= 5e-3
     grid, field, _ = solve_model(MODEL_A, 129, 128)
@@ -155,7 +155,7 @@ def test_criterion_05_area_balance():
 
 def test_criterion_06_divergence_identity():
     grid, field, _ = solve_model(MODEL_A, 129, 128)
-    res = divergence_identity_residual(grid, field, MODEL_A)
+    res = divergence_identity_residual(field, MODEL_A)
     assert abs(res.inner_term - 2 * np.pi) <= 1e-3
     assert abs(res.outer_term - 2 * np.pi) <= 1e-3
     assert abs(res.interior) <= 1e-2
@@ -168,7 +168,7 @@ def test_criterion_07_refined_identity():
     worst = 0.0
     for p in (MODEL_B, MODEL_C):
         grid, field, _ = solve_model(p, 129, 128)
-        res = refined_pohozaev_check(grid, field, p)
+        res = refined_pohozaev_check(field, p)
         worst = max(worst, abs(res.identity_residual))
         assert abs(res.identity_residual) <= 2e-2
         # weight density stays nonnegative at 10^4 sampled radii
@@ -217,9 +217,9 @@ def test_criterion_09_rigidity_contrapositive():
         spec = DomainSpec(inner=inner, outer=FourierCurve(c0=MODEL_A.r_o))
         grid = build_grid(spec, 129, 129)
         field, _ = solve_dirichlet(grid, -2.0, data.a, data.b)
-        sd_in = neumann_constancy(neumann_trace(grid, field, "inner"),
+        sd_in = neumann_constancy(neumann_trace(field, "inner"),
                                   grid.inner_arc_w).sd
-        sd_out = neumann_constancy(neumann_trace(grid, field, "outer"),
+        sd_out = neumann_constancy(neumann_trace(field, "outer"),
                                    grid.outer_arc_w).sd
         sds.append(max(sd_in, sd_out))
     elapsed = time.perf_counter() - t0
@@ -233,7 +233,7 @@ def test_criterion_09_rigidity_contrapositive():
 
 def test_criterion_10_degenerate_expansion():
     grid, field, _ = solve_model(MODEL_D, 257, 257)
-    res = degenerate_expansion_check(grid, field)
+    res = degenerate_expansion_check(field)
     assert res is not None
     assert res.boundary == "inner"
     assert abs(res.coefficient + 1.0) <= 0.1

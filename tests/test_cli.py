@@ -16,13 +16,9 @@ UNCOVERED = {"boundary_data": {"a": 1.0, "b": 0.0, "alpha": 0.5, "beta": -0.5}}
 INADMISSIBLE = {"boundary_data": {"a": 0.0, "b": 0.0, "alpha": 0.0, "beta": 0.0}}
 
 
-def run_cli(*args, env=None):
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "serrin.cli", *args],
-        capture_output=True, text=True, env=merged,
+        [sys.executable, "-m", "serrin.cli", *args], capture_output=True, text=True,
     )
 
 
@@ -76,11 +72,14 @@ class TestFit:
                           "amplitude": 0.0}},
         {"resolution": {"ns": 10**400}},
         {"solver": {"tol": 10**400}},
+        {"sweep": {"parameter": "eps", "values": [0.0], "bogus": 1}},
+        {"mms": {"sizes": "x"}},
     ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method",
             "auto_method", "max_iter", "string_c0", "null_c0", "numeric_string_c0",
             "scalar_cos", "string_cos", "huge_sin", "int_csv_path", "int_field_path",
             "empty_csv_path", "nul_report_path",
-            "harmonic_17", "harmonic_huge", "huge_ns", "huge_tol"])
+            "harmonic_17", "harmonic_huge", "huge_ns", "huge_tol",
+            "sweep_unknown_key", "mms_string_sizes"])
     def test_bad_key_exits_2(self, tmp_path, extra):
         cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
         proc = run_cli("fit", cfg)
@@ -252,16 +251,6 @@ class TestSweep:
         assert run_cli("sweep", cfg).returncode == 0
         assert out.read_bytes() == first
 
-    def test_threaded_identical(self, tmp_path):
-        cfg = write_cfg(tmp_path, "sweep.json", self.payload(tmp_path))
-        out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", cfg).returncode == 0
-        serial = out.read_bytes()
-        assert run_cli(
-            "sweep", cfg, env={"SERRIN_THREADS": "2"}
-        ).returncode == 0
-        assert out.read_bytes() == serial
-
     @pytest.mark.parametrize("sweep", [
         {"parameter": "eps", "values": []},
         {"parameter": "ns", "values": [33.7, 40.2]},
@@ -369,6 +358,16 @@ class TestEntryPoint:
         }
         proc = run_cli(command, write_cfg(tmp_path, "out.json", payload))
         assert proc.returncode == 2
+        assert proc.stdout == ""  # rejected before any solve
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_output_path_is_a_directory_exits_2(self, tmp_path):
+        # the directory exists, so only the write itself fails (an OSError)
+        payload = {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16},
+                   "output": {"field": str(tmp_path)}}
+        proc = run_cli("solve", write_cfg(tmp_path, "out.json", payload))
+        assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
@@ -384,7 +383,7 @@ class TestEntryPoint:
 # Words of the config schema, so that fuzzed objects often reach past the key checks.
 _CONFIG_WORDS = ["L", "M", "r_i", "r_o", "ns", "ntheta", "tol", "inner", "outer", "c0",
                  "cos", "sin", "target", "harmonic", "kind", "amplitude", "report", "csv",
-                 "field"]
+                 "field", "parameter", "values", "eps", "sizes", "exact", "model"]
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.just(10**400)
     | st.text(max_size=6) | st.sampled_from(_CONFIG_WORDS),
@@ -398,6 +397,8 @@ _FUZZ_BASE = {
     "solver": {"tol": 1e-10},
     "domain": {"inner": {"c0": 1.0}, "outer": {"c0": 1.5, "cos": [0.0, 0.1]}},
     "perturbation": {"target": "inner", "harmonic": 3, "kind": "cos", "amplitude": 0.05},
+    "sweep": {"parameter": "eps", "values": [0.0, 0.05]},
+    "mms": {"sizes": [17, 33], "exact": "model"},
     "output": {"csv": "sweep.csv"},
 }
 

@@ -76,7 +76,7 @@ class TestNeumannStats:
 class TestMeasuredData:
     def test_recovers_boundary_data(self, model_a):
         grid, field, data = solved(model_a, 65, 64)
-        md = measured_boundary_data(grid, field)
+        md = measured_boundary_data(field)
         assert md.a == pytest.approx(data.a, abs=1e-12)
         assert md.b == pytest.approx(data.b, abs=1e-12)
         assert md.alpha == pytest.approx(data.alpha, abs=1e-3)
@@ -84,7 +84,7 @@ class TestMeasuredData:
 
     def test_fit_from_field(self, model_a):
         grid, field, _ = solved(model_a, 65, 64)
-        md, fitted = fit_from_field(grid, field)
+        md, fitted = fit_from_field(field)
         assert fitted.M == pytest.approx(model_a.M, rel=1e-3)
         assert fitted.r_i == pytest.approx(model_a.r_i, rel=1e-3)
 
@@ -94,7 +94,7 @@ class TestPohozaev:
     def test_small_on_models(self, key, model_a, model_b, model_c):
         p = {"a": model_a, "b": model_b, "c": model_c}[key]
         grid, field, data = solved(p, 129, 128)
-        assert abs(pohozaev_residual(grid, field, data)) <= 5e-3
+        assert abs(pohozaev_residual(field, data)) <= 5e-3
 
     def test_weighted_integral_value(self, model_a):
         grid, field, _ = solved(model_a, 129, 128)
@@ -103,13 +103,13 @@ class TestPohozaev:
 
     def test_measured_data_variant(self, model_a):
         grid, field, _ = solved(model_a, 65, 64)
-        assert abs(pohozaev_residual(grid, field)) <= 5e-3
+        assert abs(pohozaev_residual(field)) <= 5e-3
 
 
 class TestGradientBound:
     def test_margin_small_on_model(self, model_a):
         grid, field, _ = solved(model_a, 65, 64)
-        margin, at = gradient_bound_margin(grid, field, model_a)
+        margin, at = gradient_bound_margin(field, model_a)
         assert margin <= 5e-3
         r = np.hypot(*at)
         assert model_a.r_i - 1e-9 <= r <= model_a.r_o + 1e-9
@@ -118,14 +118,14 @@ class TestGradientBound:
         vals = []
         for n in (33, 65):
             grid, field, _ = solved(model_a, n, n)
-            vals.append(abs(gradient_bound_margin(grid, field, model_a)[0]))
+            vals.append(abs(gradient_bound_margin(field, model_a)[0]))
         assert vals[1] < vals[0]
 
     def test_out_of_range_field_rejected(self, model_a):
         grid, field, _ = solved(model_a, 33, 32)
         shifted = ScalarField(grid=grid, values=field.values + 1.0)
         with pytest.raises(InconsistentModelError):
-            gradient_bound_margin(grid, shifted, model_a)
+            gradient_bound_margin(shifted, model_a)
 
 
 class TestAreaBound:
@@ -148,7 +148,7 @@ class TestAreaBound:
 class TestDivergenceIdentity:
     def test_small_on_increasing_model(self, model_a):
         grid, field, _ = solved(model_a, 97, 96)
-        res = divergence_identity_residual(grid, field, model_a)
+        res = divergence_identity_residual(field, model_a)
         assert abs(res.residual) <= 1e-2
         assert res.inner_term == pytest.approx(2 * np.pi, abs=1e-3)
         assert res.outer_term == pytest.approx(2 * np.pi, abs=1e-3)
@@ -157,7 +157,7 @@ class TestDivergenceIdentity:
     def test_rejects_decreasing(self, model_c):
         grid, field, _ = solved(model_c, 33, 32)
         with pytest.raises(UnsupportedRegimeError):
-            divergence_identity_residual(grid, field, model_c)
+            divergence_identity_residual(field, model_c)
 
     def test_degenerate_outer_boundary_stable(self):
         # outer slope ~ 4e-6: the direct quotient is hopeless there, the
@@ -166,7 +166,7 @@ class TestDivergenceIdentity:
         grid, field, _ = solved(p, 65, 64)
         residuals = []
         for cutoff in (1e-3, 1e-4, 1e-5):
-            res = divergence_identity_residual(grid, field, p, cutoff=cutoff)
+            res = divergence_identity_residual(field, p, cutoff=cutoff)
             residuals.append(res.residual)
             assert res.outer_limit_used
             assert res.excluded_nodes == 64
@@ -179,7 +179,7 @@ class TestRefinedIdentity:
     def test_small_on_decreasing_models(self, key, model_b, model_c):
         p = {"b": model_b, "c": model_c}[key]
         grid, field, _ = solved(p, 129, 128)
-        res = refined_pohozaev_check(grid, field, p)
+        res = refined_pohozaev_check(field, p)
         assert abs(res.identity_residual) <= 2e-2
         assert res.case1_margin >= -2e-2
         assert res.k == pytest.approx(refined_k(p), rel=1e-13)
@@ -187,20 +187,20 @@ class TestRefinedIdentity:
     def test_free_constant_shift(self, model_c):
         # the identity holds for any k; a unit shift must stay within gate
         grid, field, _ = solved(model_c, 129, 128)
-        res = refined_pohozaev_check(grid, field, model_c,
+        res = refined_pohozaev_check(field, model_c,
                                      k=refined_k(model_c) + 1.0)
         assert abs(res.identity_residual) <= 2e-2
 
     def test_degenerate_inner_row_excluded(self, model_d):
         grid, field, _ = solved(model_d, 129, 128)
-        res = refined_pohozaev_check(grid, field, model_d)
+        res = refined_pohozaev_check(field, model_d)
         assert abs(res.identity_residual) <= 2e-2
         assert res.excluded_nodes == 128
 
     def test_rejects_increasing(self, model_a):
         grid, field, _ = solved(model_a, 33, 32)
         with pytest.raises(UnsupportedRegimeError):
-            refined_pohozaev_check(grid, field, model_a)
+            refined_pohozaev_check(field, model_a)
 
 
 class TestBoundaryDistance:
@@ -231,7 +231,7 @@ class TestExpansion:
         grid = build_grid(DomainSpec.circles(1.0, 2.0), 65, 64)
         dist = boundary_distance(grid, "inner")
         field = ScalarField(grid=grid, values=5.0 - dist**2)
-        res = degenerate_expansion_check(grid, field)
+        res = degenerate_expansion_check(field)
         assert res is not None
         assert res.boundary == "inner"
         assert res.coefficient == pytest.approx(-1.0, abs=1e-12)
@@ -239,11 +239,11 @@ class TestExpansion:
 
     def test_no_degenerate_boundary(self, model_a):
         grid, field, _ = solved(model_a, 33, 32)
-        assert degenerate_expansion_check(grid, field) is None
+        assert degenerate_expansion_check(field) is None
 
     def test_solved_degenerate_model(self, model_d):
         grid, field, _ = solved(model_d, 129, 128)
-        res = degenerate_expansion_check(grid, field)
+        res = degenerate_expansion_check(field)
         assert res is not None
         assert res.boundary == "inner"
         assert res.coefficient == pytest.approx(-1.0, abs=0.15)
