@@ -240,6 +240,12 @@ def cmd_verify(args) -> int:
     print(f"note: {report.regime_note}")
     for c in checks:
         print(c.describe())
+    if args.timings:
+        for stage, seconds in report.timings.items():
+            print(f"time {stage}: {seconds:.6f} s")
+        st = report.solver
+        print(f"solver: iterations={st['iterations']} assemble_s={st['assemble_s']:.6f} "
+              f"setup_s={st['setup_s']:.6f} solve_s={st['solve_s']:.6f}")
     if "report" in s.output:
         with open(s.output["report"], "w", newline="\n") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -348,6 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--expect-asymmetric", action="store_true",
                            help="treat Neumann constancy failures as expected")
+            p.add_argument("--timings", action="store_true",
+                           help="print the report's stage timings and solver statistics")
         p.set_defaults(func=func)
     return parser
 

@@ -29,8 +29,8 @@ iteration count would grow as the boundaries approach each other.  With it
 the count does not depend on the gap; it grows with the boundary slope, and
 for steep boundaries also with the grid.
 
-SciPy is imported inside the functions that use it, so that importing the
-package (and the CLI's ``fit`` and ``--help``) does not pay for it.
+The GMRES iteration and the tridiagonal sweeps are a few dozen lines of
+numpy each, so the solver, like the rest of the package, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from .errors import InvalidInputError, SolverFailureError
 from .geometry import CurvGrid, DomainSpec, build_grid
 from .models import ModelParams, model_u
 
-# GMRES restart length, and the number of restart cycles before the solve is
-# declared failed (at most 600 iterations; the steepest boundaries measured,
-# harmonic 16 at amplitude 0.49, need ~210 at 257^2 and ~410 at 513^2).
+# GMRES restart length, and the number of restart cycles, each ending in one
+# true-residual check, before the solve is declared failed (at most 600
+# iterations; the steepest boundaries measured, harmonic 16 at amplitude 0.49,
+# need ~210 at 257^2 and ~410 at 513^2).
 _RESTART = 60
 _MAX_RESTARTS = 10
 
@@ -167,34 +168,129 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     ``avg(W L)`` is circulant in theta.  With ``numpy.fft.rfft`` along
     theta, a shift by ``dj`` nodes multiplies mode ``k`` by
     ``omega_k**dj``, ``omega_k = exp(2 pi i k / ntheta)``, which leaves one
-    tridiagonal system in s per mode.  The systems are stacked mode by mode
-    into one block-diagonal tridiagonal matrix (the couplings between blocks
-    are zero) and factored by a single LAPACK ``zgttrf``.
+    tridiagonal system in s per mode.  Its three bands are kept as
+    ``(n_in, modes)`` arrays, the layout ``rfft`` returns, and all modes are
+    eliminated together, each row operation vectorised over the modes:
+    Gaussian elimination without pivoting (Golub & Van Loan, Matrix
+    Computations, 4.3) factors the bands once, and each application makes
+    one forward and one backward sweep over the rows.  A zero or non-finite
+    pivot raises :class:`SolverFailureError`.
     """
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
     n_in, nt = stencil[0, 0].shape
     diag = np.abs(stencil[0, 0]).mean(axis=0)
     if not np.all(diag > 0):
         raise SolverFailureError("the theta-averaged preconditioner is singular")
     w = 1.0 / diag
     omega = np.exp(2j * np.pi * np.arange(nt // 2 + 1) / nt)
-    band = {di: sum((coef * w).mean(axis=1) * omega[:, None] ** dj
-                    for (d, dj), coef in stencil.items() if d == di)
-            for di in (-1, 0, 1)}  # each (modes, n_in)
-    band[-1][:, 0] = 0.0   # the first and last interior rows couple to the
-    band[1][:, -1] = 0.0   # Dirichlet rows, eliminated into the right-hand side
-    dl, d, du, du2, ipiv, info = zgttrf(band[-1].ravel()[1:], band[0].ravel(),
-                                        band[1].ravel()[:-1])
-    if info > 0:
+    # Row i of band di multiplies row i + di of the unknowns; the first and
+    # last interior rows couple to the Dirichlet rows, which are eliminated
+    # into the right-hand side, so lower[0] and upper[-1] are never read.
+    lower, pivot, upper = (sum((coef * w).mean(axis=1)[:, None] * omega ** dj
+                               for (d, dj), coef in stencil.items() if d == di)
+                           for di in (-1, 0, 1))
+    with np.errstate(all="ignore"):
+        for i in range(1, n_in):
+            lower[i] /= pivot[i - 1]
+            pivot[i] -= lower[i] * upper[i - 1]
+        inv_pivot = 1.0 / pivot
+    if not np.all(np.isfinite(inv_pivot) & (pivot != 0)):
         raise SolverFailureError("the theta-averaged preconditioner is singular")
+    upper *= inv_pivot
+    # Row views, so that each step of a sweep is one multiply and one
+    # in-place subtract.
+    lower_rows, upper_rows = list(lower), list(upper)
 
     def apply(r):
-        r_hat = np.fft.rfft(r.reshape(n_in, nt) * w, axis=1)
-        x_hat, _ = zgttrs(dl, d, du, du2, ipiv, r_hat.T.reshape(-1, 1))
-        return np.fft.irfft(x_hat.reshape(-1, n_in).T, n=nt, axis=1).ravel()
+        x_hat = np.fft.rfft(r.reshape(n_in, nt) * w, axis=1)
+        rows = list(x_hat)
+        for lo, prev, row in zip(lower_rows[1:], rows, rows[1:]):
+            row -= lo * prev
+        x_hat *= inv_pivot
+        for up, nxt, row in zip(upper_rows[-2::-1], rows[::-1], rows[-2::-1]):
+            row -= up * nxt
+        return np.fft.irfft(x_hat, n=nt, axis=1).ravel()
 
     return apply
+
+
+def _gmres(operator, precondition, rhs, tol):
+    """Solve ``operator(x) = rhs`` by restarted GMRES (Saad & Schultz 1986),
+    preconditioned on the right: returns ``(x, residual, history)``, the
+    solution, its true relative residual ``|rhs - operator(x)| / |rhs|`` and
+    the residual estimates.
+
+    Each cycle builds an orthonormal basis of the Krylov space of
+    ``operator(precondition(.))`` started from the current residual, by two
+    passes of classical Gram-Schmidt, and reduces the small Hessenberg matrix
+    to triangular form by Givens rotations.  The rotated right-hand side
+    ``g`` gives the residual estimate ``|g[k+1]| / |rhs|``, appended to
+    ``history`` once per iteration.  A cycle ends when the estimate falls to
+    ``tol / 2``, when the basis breaks down, or after ``_RESTART``
+    iterations; then ``x`` moves by ``precondition(V y)`` and the true
+    residual is formed once.  The solve returns when it meets ``tol``, and
+    restarts from it otherwise.  A breakdown, a non-finite residual or
+    ``_MAX_RESTARTS`` spent cycles raise :class:`SolverFailureError` carrying
+    ``history`` followed by the last true residual.
+    """
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    eps = np.finfo(float).eps
+    history = []
+    basis = np.empty((_RESTART + 1, rhs.size))
+    x = np.zeros(rhs.size)
+    r = rhs
+    beta = float(np.linalg.norm(r))
+    residual = beta / scale
+    cycles, breakdown = 0, False
+    while not residual <= tol:
+        if cycles == _MAX_RESTARTS or breakdown or not np.isfinite(residual):
+            raise SolverFailureError(
+                f"relative residual {residual:.3e} exceeds tol {tol:.3e} "
+                f"after {len(history)} GMRES iterations",
+                residuals=history + [residual],
+            )
+        cycles += 1
+        basis[0] = r / beta
+        tri = np.zeros((_RESTART, _RESTART))  # the rotated Hessenberg matrix
+        cs, sn = [], []
+        g = [beta]
+        for k in range(_RESTART):
+            v = operator(precondition(basis[k]))
+            norm0 = np.linalg.norm(v)
+            h = basis[:k + 1] @ v
+            v -= h @ basis[:k + 1]
+            h2 = basis[:k + 1] @ v
+            v -= h2 @ basis[:k + 1]
+            col = (h + h2).tolist()
+            sub = float(np.linalg.norm(v))
+            breakdown = sub <= eps * norm0
+            if breakdown:
+                sub = 0.0
+            else:
+                np.divide(v, sub, out=basis[k + 1])
+            for i, (c, s) in enumerate(zip(cs, sn)):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = float(np.hypot(col[k], sub))
+            c, s = (col[k] / rho, sub / rho) if rho > 0 else (1.0, 0.0)
+            cs.append(c)
+            sn.append(s)
+            col[k] = rho
+            tri[:k + 1, k] = col
+            g.append(-s * g[k])
+            g[k] *= c
+            history.append(abs(g[k + 1]) / scale)
+            if history[-1] <= tol / 2 or breakdown:
+                break
+        # Back substitution; after a breakdown with a zero pivot the last
+        # direction adds nothing and is dropped.
+        m = k + 1 if tri[k, k] != 0 else k
+        y = np.zeros(m)
+        for i in reversed(range(m)):
+            y[i] = (g[i] - tri[i, i + 1:m] @ y[i + 1:]) / tri[i, i]
+        x += precondition(y @ basis[:m])
+        r = rhs - operator(x)
+        beta = float(np.linalg.norm(r))
+        residual = beta / scale
+    return x, residual, history
 
 
 def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
@@ -229,8 +325,6 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     a_arr = _per_angle(inner_value, nt, "inner_value")
     b_arr = _per_angle(outer_value, nt, "outer_value")
 
-    import scipy.sparse.linalg as spla
-
     t0 = time.perf_counter()
     stencil = _stencil(grid)
     # The Dirichlet rows are eliminated: their stencil terms move to the
@@ -245,31 +339,12 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     t1 = time.perf_counter()
     precondition = _theta_averaged_inverse(stencil)
     t2 = time.perf_counter()
-    # Right preconditioning: GMRES solves (A P^-1) y = rhs, so its residual
-    # estimates are those of x = P^-1 y in the unpreconditioned norm.  Half
-    # of tol leaves room for the rounding of the final P^-1 y.
-    history = []
-    op = spla.LinearOperator((rhs.size, rhs.size),
-                             matvec=lambda v: operator(precondition(v)), dtype=float)
-    y, _ = spla.gmres(op, rhs, rtol=opts.tol / 2, restart=_RESTART,
-                      maxiter=_MAX_RESTARTS, callback=history.append,
-                      callback_type="pr_norm")
-    x = precondition(y)
-    residual = float(
-        np.linalg.norm(operator(x) - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    )
-    residuals = [float(r) for r in history] + [residual]
-    if not np.isfinite(residual) or residual > opts.tol:
-        raise SolverFailureError(
-            f"relative residual {residual:.3e} exceeds tol {opts.tol:.3e} "
-            f"after {len(history)} GMRES iterations",
-            residuals=residuals,
-        )
+    x, residual, history = _gmres(operator, precondition, rhs, opts.tol)
     t3 = time.perf_counter()
 
     values[1:-1] = x.reshape(ns - 2, nt)
     stats = SolveStats(unknowns=rhs.size, iterations=len(history), residual=residual,
-                       seconds=t3 - t0, residuals=residuals, assemble_s=t1 - t0,
+                       seconds=t3 - t0, residuals=history + [residual], assemble_s=t1 - t0,
                        setup_s=t2 - t1, solve_s=t3 - t2)
     return ScalarField(grid=grid, values=values), stats
 

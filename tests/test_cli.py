@@ -1,4 +1,9 @@
-"""End-to-end tests of the command line interface, mostly via subprocess."""
+"""End-to-end tests of the command line interface.
+
+Most tests run ``cli.main`` in-process and read its output with ``capsys``;
+the entry point, the exit codes of a whole process and byte-identical reruns
+are tested on fresh ``python -m serrin.cli`` processes.
+"""
 
 import csv
 import json
@@ -22,6 +27,16 @@ def run_cli(*args):
     )
 
 
+@pytest.fixture
+def run_main(capsys):
+    """``cli.main`` in this process, returning what ``run_cli`` would."""
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out, err)
+    return run
+
+
 def write_cfg(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -29,9 +44,9 @@ def write_cfg(tmp_path, name, payload):
 
 
 class TestFit:
-    def test_model_data(self, tmp_path):
+    def test_model_data(self, tmp_path, run_main):
         cfg = write_cfg(tmp_path, "a.json", MODEL_A)
-        proc = run_cli("fit", cfg)
+        proc = run_main("fit", cfg)
         assert proc.returncode == 0
         assert "Increasing" in proc.stdout
         assert "M" in proc.stdout
@@ -46,8 +61,8 @@ class TestFit:
         proc = run_cli("fit", cfg)
         assert proc.returncode == 2
 
-    def test_missing_config_exits_2(self):
-        proc = run_cli("fit", "/nonexistent/cfg.json")
+    def test_missing_config_exits_2(self, run_main):
+        proc = run_main("fit", "/nonexistent/cfg.json")
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("extra", [
@@ -80,14 +95,14 @@ class TestFit:
             "empty_csv_path", "nul_report_path",
             "harmonic_17", "harmonic_huge", "huge_ns", "huge_tol",
             "sweep_unknown_key", "mms_string_sizes"])
-    def test_bad_key_exits_2(self, tmp_path, extra):
+    def test_bad_key_exits_2(self, tmp_path, extra, run_main):
         cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
-        proc = run_cli("fit", cfg)
+        proc = run_main("fit", cfg)
         assert proc.returncode == 2
 
-    def test_both_sources_rejected(self, tmp_path):
+    def test_both_sources_rejected(self, tmp_path, run_main):
         cfg = write_cfg(tmp_path, "both.json", {**MODEL_A, **UNCOVERED})
-        proc = run_cli("fit", cfg)
+        proc = run_main("fit", cfg)
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("content", [
@@ -96,19 +111,19 @@ class TestFit:
         b'{"solver": {"tol": ' + b"1" * 5000 + b"}}",
         None,
     ], ids=["bad_utf8", "deep_nesting", "overlong_integer", "directory"])
-    def test_unreadable_config_exits_2(self, tmp_path, content):
+    def test_unreadable_config_exits_2(self, tmp_path, content, run_main):
         path = tmp_path / "cfg.json"
         if content is None:
             path.mkdir()
         else:
             path.write_bytes(content)
-        proc = run_cli("fit", str(path))
+        proc = run_main("fit", str(path))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
 
 class TestSolve:
-    def test_writes_field_file(self, tmp_path):
+    def test_writes_field_file(self, tmp_path, run_main):
         out = tmp_path / "u.dat"
         payload = {
             **MODEL_A,
@@ -117,14 +132,14 @@ class TestSolve:
             "output": {"field": str(out)},
         }
         cfg = write_cfg(tmp_path, "solve.json", payload)
-        proc = run_cli("solve", cfg)
+        proc = run_main("solve", cfg)
         assert proc.returncode == 0
         assert "iterations: 1\n" in proc.stdout  # circles: one GMRES iteration
         lines = out.read_text().splitlines()
         assert lines[1].split()[:2] == ["17", "32"]
         assert len(lines) == 3 + 17 * 32
 
-    def test_zero_amplitude_keeps_padded_domain_hash(self, tmp_path):
+    def test_zero_amplitude_keeps_padded_domain_hash(self, tmp_path, run_main):
         # a perturbation block applies even at amplitude 0: the inner curve
         # gets zero cos coefficients up to the harmonic, and so its own hash
         out = tmp_path / "u.dat"
@@ -136,7 +151,7 @@ class TestSolve:
             "output": {"field": str(out)},
         }
         cfg = write_cfg(tmp_path, "solve.json", payload)
-        assert run_cli("solve", cfg).returncode == 0
+        assert run_main("solve", cfg).returncode == 0
         padded = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * 3),
                             outer=FourierCurve(c0=1.5))
         meta, _ = read_field(str(out))
@@ -156,7 +171,7 @@ class TestSolve:
         assert run_cli("solve", cfg).returncode == 0
         assert out.read_bytes() == first
 
-    def test_resolution_override(self, tmp_path):
+    def test_resolution_override(self, tmp_path, run_main):
         out = tmp_path / "u.dat"
         payload = {
             **MODEL_A,
@@ -164,13 +179,13 @@ class TestSolve:
             "output": {"field": str(out)},
         }
         cfg = write_cfg(tmp_path, "solve.json", payload)
-        proc = run_cli("solve", cfg, "--ns", "25")
+        proc = run_main("solve", cfg, "--ns", "25")
         assert proc.returncode == 0
         assert out.read_text().splitlines()[1].split()[:2] == ["25", "32"]
 
 
 class TestVerify:
-    def test_model_passes(self, tmp_path):
+    def test_model_passes(self, tmp_path, run_main):
         report = tmp_path / "report.json"
         payload = {
             **MODEL_A,
@@ -178,7 +193,7 @@ class TestVerify:
             "output": {"report": str(report)},
         }
         cfg = write_cfg(tmp_path, "verify.json", payload)
-        proc = run_cli("verify", cfg)
+        proc = run_main("verify", cfg)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
         tree = json.loads(report.read_text())
@@ -200,7 +215,7 @@ class TestVerify:
         proc = run_cli("verify", cfg, "--expect-asymmetric")
         assert proc.returncode == 0
 
-    def test_uncovered_exits_3(self, tmp_path):
+    def test_uncovered_exits_3(self, tmp_path, run_main):
         cfg = write_cfg(
             tmp_path, "verify.json",
             {
@@ -209,10 +224,36 @@ class TestVerify:
                 "resolution": {"ns": 33, "ntheta": 32},
             },
         )
-        proc = run_cli("verify", cfg)
+        proc = run_main("verify", cfg)
         assert proc.returncode == 3
 
-    def test_csv_single_row(self, tmp_path):
+    def test_timings_flag(self, tmp_path, run_main):
+        out = tmp_path / "row.csv"
+        payload = {
+            **MODEL_A,
+            "resolution": {"ns": 17, "ntheta": 16},
+            "output": {"csv": str(out)},
+        }
+        cfg = write_cfg(tmp_path, "verify.json", payload)
+        plain = run_main("verify", cfg)
+        first = out.read_bytes()
+        timed = run_main("verify", cfg, "--timings")
+        assert timed.returncode == plain.returncode in (0, 1)  # 17x16 is coarse
+        assert out.read_bytes() == first
+        lines = timed.stdout.splitlines()
+        extra = [line for line in lines if line.startswith(("time ", "solver: "))]
+        # the timing lines sit between the check lines and the csv line
+        at = lines.index(extra[0])
+        assert lines[at:at + len(extra)] == extra
+        assert lines[:at] + lines[at + len(extra):] == plain.stdout.splitlines()
+        assert lines[at + len(extra)].startswith("csv: ")
+        stages = [line.split()[1].rstrip(":") for line in extra[:-1]]
+        assert stages[:3] == ["fit", "grid", "solve"] and stages[-1] == "expansion"
+        solver = dict(item.split("=") for item in extra[-1].split()[1:])
+        assert set(solver) == {"iterations", "assemble_s", "setup_s", "solve_s"}
+        assert solver["iterations"] == "1"  # circles
+
+    def test_csv_single_row(self, tmp_path, run_main):
         out = tmp_path / "row.csv"
         payload = {
             **MODEL_A,
@@ -220,7 +261,7 @@ class TestVerify:
             "output": {"csv": str(out)},
         }
         cfg = write_cfg(tmp_path, "verify.json", payload)
-        assert run_cli("verify", cfg).returncode == 0
+        assert run_main("verify", cfg).returncode == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].split(",")[0] == "case"
@@ -255,30 +296,30 @@ class TestSweep:
         {"parameter": "eps", "values": []},
         {"parameter": "ns", "values": [33.7, 40.2]},
     ], ids=["empty", "fractional_ns"])
-    def test_empty_values_exit_2(self, tmp_path, sweep):
+    def test_empty_values_exit_2(self, tmp_path, sweep, run_main):
         payload = self.payload(tmp_path)
         payload["sweep"] = sweep
         cfg = write_cfg(tmp_path, "sweep.json", payload)
-        assert run_cli("sweep", cfg).returncode == 2
+        assert run_main("sweep", cfg).returncode == 2
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
-    def test_bad_perturbation_target_exits_2(self, tmp_path, command):
+    def test_bad_perturbation_target_exits_2(self, tmp_path, command, run_main):
         payload = self.payload(tmp_path)
         payload["perturbation"]["target"] = "middle"
         cfg = write_cfg(tmp_path, "sweep.json", payload)
-        assert run_cli(command, cfg).returncode == 2
+        assert run_main(command, cfg).returncode == 2
 
     @pytest.mark.parametrize("sweep, error", [
         ({"parameter": "ns", "values": [33, 5]}, "InvalidInputError: "),
         ({"parameter": "eps", "values": [0.05, 0.9]}, "InvalidDomainError: "),
     ], ids=["ns", "eps"])
-    def test_error_rows_reported(self, tmp_path, sweep, error):
+    def test_error_rows_reported(self, tmp_path, sweep, error, run_main):
         # an ns below the grid minimum, or an amplitude at which the curves
         # cross, lands in its own row's error column; the sweep still exits 0
         payload = self.payload(tmp_path)
         payload["sweep"] = sweep
         cfg = write_cfg(tmp_path, "sweep.json", payload)
-        assert run_cli("sweep", cfg).returncode == 0
+        assert run_main("sweep", cfg).returncode == 0
         with open(tmp_path / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3
@@ -287,7 +328,7 @@ class TestSweep:
         assert rows[2][-1].startswith(error)
 
     @pytest.mark.parametrize("case", ["harmonic_17", "no_domain", "crossing_ns"])
-    def test_config_error_exits_before_rows(self, tmp_path, case):
+    def test_config_error_exits_before_rows(self, tmp_path, case, run_main):
         payload = self.payload(tmp_path)
         if case == "harmonic_17":
             payload["perturbation"]["harmonic"] = 17
@@ -299,24 +340,24 @@ class TestSweep:
             del payload["model_params"]
             payload["boundary_data"] = {"a": -0.0, "b": 0.5, "alpha": 3.0, "beta": 1.4}
         cfg = write_cfg(tmp_path, "sweep.json", payload)
-        proc = run_cli("sweep", cfg)
+        proc = run_main("sweep", cfg)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestMms:
-    def test_prints_order(self, tmp_path):
+    def test_prints_order(self, tmp_path, run_main):
         payload = {
             **MODEL_A,
             "mms": {"sizes": [17, 33], "exact": "model"},
         }
         cfg = write_cfg(tmp_path, "mms.json", payload)
-        proc = run_cli("mms", cfg)
+        proc = run_main("mms", cfg)
         assert proc.returncode == 0
         assert "order" in proc.stdout
 
-    def test_csv_output(self, tmp_path):
+    def test_csv_output(self, tmp_path, run_main):
         out = tmp_path / "mms.csv"
         payload = {
             **MODEL_A,
@@ -324,14 +365,14 @@ class TestMms:
             "output": {"csv": str(out)},
         }
         cfg = write_cfg(tmp_path, "mms.json", payload)
-        assert run_cli("mms", cfg).returncode == 0
+        assert run_main("mms", cfg).returncode == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "n,h,linf,l2"
         assert len(lines) == 3
 
-    def test_missing_block_exits_2(self, tmp_path):
+    def test_missing_block_exits_2(self, tmp_path, run_main):
         cfg = write_cfg(tmp_path, "mms.json", MODEL_A)
-        assert run_cli("mms", cfg).returncode == 2
+        assert run_main("mms", cfg).returncode == 2
 
 
 class TestEntryPoint:
@@ -370,6 +411,15 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_verify_imports_no_scipy(self, tmp_path):
+        # The solver is numpy-only: a whole verify run loads no SciPy module.
+        cfg = write_cfg(tmp_path, "v.json", {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16}})
+        code = ("import sys; from serrin import cli; "
+                f"assert cli.main(['verify', {cfg!r}]) in (0, 1); "
+                "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_import_skips_scipy_sparse(self):
         # SciPy is imported by the solver on first use, so that `import

@@ -102,6 +102,16 @@ class TestSolve:
         with pytest.raises(SolverFailureError, match="singular"):
             solve_dirichlet(g, -2.0, 0.0, 1.0)
 
+    def test_restarts_reach_the_unrestarted_field(self, data_a, monkeypatch):
+        g = build_grid(wavy_domain(), 33, 33)
+        reference, _ = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
+        monkeypatch.setattr(solver_module, "_RESTART", 3)
+        fld, stats = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
+        assert stats.residual <= SolveOptions().tol
+        assert len(stats.residuals) > 4  # more than one cycle of 3
+        assert len(stats.residuals) == stats.iterations + 1
+        assert np.max(np.abs(fld.values - reference.values)) < 1e-9
+
     def test_stage_timings(self, data_a):
         g = build_grid(wavy_domain(), 17, 32)
         _, stats = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
@@ -153,6 +163,45 @@ class TestSolve:
         g = build_grid(DomainSpec.circles(1.0, 2.0), 9, 16)
         with pytest.raises(InvalidInputError):
             ScalarField(grid=g, values=np.zeros((4, 4)))
+
+
+def _dense_theta_averaged(stencil):
+    """The matrix ``W^-1 avg(W L)`` of the preconditioner, built entry by
+    entry on the flattened interior nodes."""
+    n_in, nt = stencil[0, 0].shape
+    w = 1.0 / np.abs(stencil[0, 0]).mean(axis=0)
+    mat = np.zeros((n_in * nt, n_in * nt))
+    for (di, dj), coef in stencil.items():
+        avg = (coef * w).mean(axis=1)
+        for i in range(n_in):
+            if 0 <= i + di < n_in:
+                for j in range(nt):
+                    mat[i * nt + j, (i + di) * nt + (j + dj) % nt] += avg[i] / w[j]
+    return mat
+
+
+class TestPreconditioner:
+    # Diagonal dominance of the theta average is weakest on steep and on
+    # nearly crossing boundaries, where the pivot-free sweep is most exposed.
+    @pytest.mark.parametrize("k, amp", [(16, 0.49), (2, 0.499)],
+                             ids=["cos16_steep", "cos2_near_crossing"])
+    def test_solves_the_dense_averaged_system(self, k, amp):
+        spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * (k - 1) + (amp,)),
+                          outer=FourierCurve(c0=1.5))
+        stencil = solver_module._stencil(build_grid(spec, 17, 16))
+        r = np.random.default_rng(k).standard_normal(15 * 16)
+        exact = np.linalg.solve(_dense_theta_averaged(stencil), r)
+        got = solver_module._theta_averaged_inverse(stencil)(r)
+        assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_zero_pivot_raises_solver_failure(self):
+        # Two rows whose averaged system is [[1, 1], [1, 1]] in every mode:
+        # the diagonal is nonzero, but the second pivot is 1 - 1 * 1 = 0.
+        ones, zeros = np.ones((2, 4)), np.zeros((2, 4))
+        stencil = {(di, dj): ones if dj == 0 else zeros
+                   for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        with pytest.raises(SolverFailureError, match="singular"):
+            solver_module._theta_averaged_inverse(stencil)
 
 
 class TestMms:
