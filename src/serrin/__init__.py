@@ -21,7 +21,6 @@ from .geometry import (
     CurvGrid,
     DomainSpec,
     FourierCurve,
-    boundary_curvature,
     boundary_length,
     build_grid,
     integrate_area,

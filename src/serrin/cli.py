@@ -75,17 +75,17 @@ class Scenario:
         """The base domain perturbed at amplitude ``eps`` (default: the config's).
 
         A 'perturbation' block applies even at amplitude 0, which pads the
-        coefficients that the domain hash reads; without one, a nonzero
-        ``eps`` perturbs inner cos 3.
+        coefficients that the domain hash reads; without one the amplitude is
+        0, since :func:`_load_scenario` rejects any other.
         """
         eps = self.eps if eps is None else eps
         if self.base is None:
             raise ConfigError(
                 "config needs a 'domain' (or model parameters to default to circles)"
             )
-        if self.perturbation is None and eps == 0.0:
+        if self.perturbation is None:
             return self.base
-        target, kind, harmonic = self.perturbation or ("inner", "cos", 3)
+        target, kind, harmonic = self.perturbation
         curve = self.base.curve(target)
         key = f"{kind}_coeffs"
         coeffs = list(getattr(curve, key))
@@ -187,6 +187,10 @@ def _load_scenario(args) -> Scenario:
             raise ConfigError("sweep values must be a nonempty list")
         sweep = (parameter,
                  [_number(v, "sweep.values", integer=parameter != "eps") for v in values])
+    amplitudes = [eps] + (sweep[1] if sweep and sweep[0] == "eps" else [])
+    if perturbation is None and any(amplitudes):
+        raise ConfigError("a nonzero amplitude (--eps or an eps sweep value) "
+                          "needs a 'perturbation' block")
 
     mms = None
     if "mms" in cfg:

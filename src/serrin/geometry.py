@@ -3,9 +3,10 @@
 Domains are doubly connected regions between two closed curves given in
 polar form ``rho(theta) = c0 + sum_n (c_n cos(n theta) + s_n sin(n theta))``
 with harmonic degree at most 16.  Grids map the reference rectangle
-``[0,1] x [0,2pi)`` onto the domain by linear blending of the two radii, and
-carry the metric coefficients, quadrature weights and boundary normals that
-the solver and the identity checks consume.
+``[0,1] x [0,2pi)`` onto the domain by linear blending of the two radii
+(:func:`blend_map`), and carry the node coordinates, quadrature weights and
+boundary normals that the solver and the identity checks consume.  The
+solver samples the blended map itself where its flux stencil needs it.
 """
 
 from __future__ import annotations
@@ -220,9 +221,10 @@ class CurvGrid:
 
     Nodes are indexed ``(i, j)`` with ``i`` along the blending coordinate
     ``s`` (row 0 on the inner boundary, row ns-1 on the outer) and ``j``
-    along the periodic angle.  Carries node coordinates, the analytic metric
-    coefficients at flux interfaces, area and boundary quadrature weights,
-    and outward unit normals on both boundaries.
+    along the periodic angle.  Carries node coordinates, area quadrature
+    weights, and per-angle arc weights and outward unit normals on both
+    boundaries (``arc_w`` and ``normal`` are :data:`SIDES`-ordered pairs,
+    read through :meth:`arc_weights` and :meth:`outward_normal`).
     """
 
     spec: DomainSpec
@@ -230,35 +232,42 @@ class CurvGrid:
     ntheta: int
     ds: float
     dtheta: float
-    s: np.ndarray
     theta: np.ndarray
     r: np.ndarray
     x: np.ndarray
     y: np.ndarray
     jac: np.ndarray
     area_w: np.ndarray
-    coef_a: np.ndarray = field(repr=False)
-    coef_b_s: np.ndarray = field(repr=False)
-    coef_b_t: np.ndarray = field(repr=False)
-    coef_c: np.ndarray = field(repr=False)
-    inner_arc_w: np.ndarray = field(repr=False)
-    outer_arc_w: np.ndarray = field(repr=False)
-    inner_normal: np.ndarray = field(repr=False)
-    outer_normal: np.ndarray = field(repr=False)
+    arc_w: tuple = field(repr=False)
+    normal: tuple = field(repr=False)
 
     def row(self, which: str) -> int:
         """Grid row of the ``"inner"`` (0) or ``"outer"`` (ns - 1) boundary."""
         return (0, self.ns - 1)[_side(which)]
 
     def arc_weights(self, which: str) -> np.ndarray:
-        return (self.inner_arc_w, self.outer_arc_w)[_side(which)]
+        return self.arc_w[_side(which)]
 
     def outward_normal(self, which: str) -> np.ndarray:
-        return (self.inner_normal, self.outer_normal)[_side(which)]
+        return self.normal[_side(which)]
 
 
 def _blend(rho_i, rho_o, s):
     return (1.0 - s[:, None]) * rho_i[None, :] + s[:, None] * rho_o[None, :]
+
+
+def blend_map(spec: DomainSpec, s, theta):
+    """The blended map's radius and its derivatives, ``(r, r_theta, r_s)``.
+
+    ``r = (1 - s) rho_i(theta) + s rho_o(theta)`` at rows ``s`` (1-d) and
+    angles ``theta`` (1-d): ``r`` and ``r_theta`` are ``(len(s), len(theta))``
+    arrays, and ``r_s = rho_o - rho_i`` is ``(1, len(theta))``, since ``r``
+    is linear in ``s``.
+    """
+    rho_i = spec.inner.radius(theta)
+    rho_o = spec.outer.radius(theta)
+    r_t = _blend(spec.inner.radius_prime(theta), spec.outer.radius_prime(theta), s)
+    return _blend(rho_i, rho_o, s), r_t, (rho_o - rho_i)[None, :]
 
 
 def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
@@ -278,58 +287,31 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     dtheta = 2 * np.pi / ntheta
     theta = np.arange(ntheta) * dtheta
 
-    rho_i = spec.inner.radius(theta)
-    rho_o = spec.outer.radius(theta)
-    drho_i = spec.inner.radius_prime(theta)
-    drho_o = spec.outer.radius_prime(theta)
-
-    r = _blend(rho_i, rho_o, s)
-    r_s = (rho_o - rho_i)[None, :]
+    r, _, r_s = blend_map(spec, s, theta)
     x = r * np.cos(theta)[None, :]
     y = r * np.sin(theta)[None, :]
     jac = r * r_s
     if np.min(jac) <= 0:
         raise InvalidDomainError("grid Jacobian is not positive")
 
-    # Flux coefficients at s-interfaces (i+1/2, j); r is linear in s so the
-    # analytic half value equals the node average.
-    s_half = 0.5 * (s[:-1] + s[1:])
-    r_sh = _blend(rho_i, rho_o, s_half)
-    rt_sh = _blend(drho_i, drho_o, s_half)
-    coef_a = (rt_sh * rt_sh + r_sh * r_sh) / (r_sh * r_s)
-    coef_b_s = -rt_sh / r_sh
-
-    # Flux coefficients at theta-interfaces (i, j+1/2).
-    theta_half = theta + 0.5 * dtheta
-    rho_i_h = spec.inner.radius(theta_half)
-    rho_o_h = spec.outer.radius(theta_half)
-    drho_i_h = spec.inner.radius_prime(theta_half)
-    drho_o_h = spec.outer.radius_prime(theta_half)
-    r_th = _blend(rho_i_h, rho_o_h, s)
-    rt_th = _blend(drho_i_h, drho_o_h, s)
-    coef_b_t = -rt_th / r_th
-    coef_c = (rho_o_h - rho_i_h)[None, :] / r_th
-
     ws = np.full(ns, ds)
     ws[0] = ws[-1] = 0.5 * ds
     area_w = jac * ws[:, None] * dtheta
 
-    # Arc weights are FourierCurve.speed times dtheta.  The domain-outward
-    # normal on the inner boundary is the negative of the curve's normal.
+    # The domain-outward normal on the inner boundary is the negative of the
+    # curve's normal.
     return CurvGrid(
-        spec=spec, ns=ns, ntheta=ntheta, ds=ds, dtheta=dtheta, s=s, theta=theta,
+        spec=spec, ns=ns, ntheta=ntheta, ds=ds, dtheta=dtheta, theta=theta,
         r=r, x=x, y=y, jac=jac, area_w=area_w,
-        coef_a=coef_a, coef_b_s=coef_b_s, coef_b_t=coef_b_t, coef_c=coef_c,
-        inner_arc_w=np.sqrt(rho_i * rho_i + drho_i * drho_i) * dtheta,
-        outer_arc_w=np.sqrt(rho_o * rho_o + drho_o * drho_o) * dtheta,
-        inner_normal=-_normal(rho_i, drho_i, theta),
-        outer_normal=_normal(rho_o, drho_o, theta),
+        arc_w=(spec.inner.speed(theta) * dtheta, spec.outer.speed(theta) * dtheta),
+        normal=(-_normal(spec.inner, theta), _normal(spec.outer, theta)),
     )
 
 
-def _normal(rho, dp, theta):
+def _normal(curve, theta):
     # Right-hand normal of the counterclockwise parametrization: it points
     # away from the enclosed disk.
+    rho, dp = curve.radius(theta), curve.radius_prime(theta)
     tx = dp * np.cos(theta) - rho * np.sin(theta)
     ty = dp * np.sin(theta) + rho * np.cos(theta)
     norm = np.hypot(tx, ty)
@@ -339,11 +321,6 @@ def _normal(rho, dp, theta):
 def boundary_length(spec: DomainSpec, which: str, n: int = 8192) -> float:
     """Arc length of one boundary component."""
     return spec.curve(which).length(n)
-
-
-def boundary_curvature(spec: DomainSpec, which: str, theta):
-    """Curvature of one boundary component at the given angles."""
-    return spec.curve(which).curvature(theta)
 
 
 def region_areas(spec: DomainSpec):

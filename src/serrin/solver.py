@@ -1,7 +1,8 @@
 """Finite-difference Poisson solver on curvilinear annular grids.
 
 The Laplacian is discretized in conservative flux form on the blended polar
-grid: with metric coefficients A, B, C at cell interfaces,
+grid: with metric coefficients A, B, C sampled from the blended map at cell
+interfaces,
 
     J * Lap(u) ~ d_s(A u_s + B u_t) + d_t(B u_s + C u_t),
 
@@ -42,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInputError, SolverFailureError
-from .geometry import CurvGrid, DomainSpec, build_grid
+from .geometry import CurvGrid, DomainSpec, blend_map, build_grid
 from .models import ModelParams, model_u
 
 # GMRES restart length, and the number of restart cycles, each ending in one
@@ -121,19 +122,28 @@ def _per_angle(value, ntheta, name):
 def _stencil(grid: CurvGrid) -> dict:
     """The 9-point coefficients ``{(di, dj): (ns-2, ntheta) array}``: row
     ``i - 1`` of entry ``(di, dj)`` multiplies ``u[i + di, j + dj]`` in the
-    equation of interior node ``(i, j)``."""
+    equation of interior node ``(i, j)``.
+
+    The stencil owns the staggering of the flux form.  It samples the
+    blended map (:func:`~serrin.geometry.blend_map`) at the s-interfaces
+    ``(i +- 1/2, j)``, for the s-flux coefficients ``A = (r_t^2 + r^2) /
+    (r r_s)`` and ``B = -r_t / r``, and at the theta-interfaces
+    ``(i, j + 1/2)`` of the interior rows, for ``B`` and ``C = r_s / r``;
+    the ``(i, j - 1/2)`` values are those of column ``j - 1``."""
     ns = grid.ns
     ds, dt = grid.ds, grid.dtheta
     q = 1.0 / (4.0 * ds * dt)
+    s = np.linspace(0.0, 1.0, ns)
 
-    as_p = grid.coef_a[1:ns - 1] / ds**2
-    as_m = grid.coef_a[0:ns - 2] / ds**2
-    bs_p = grid.coef_b_s[1:ns - 1] * q
-    bs_m = grid.coef_b_s[0:ns - 2] * q
-    bt_p = grid.coef_b_t[1:ns - 1] * q
-    bt_m = np.roll(grid.coef_b_t[1:ns - 1], 1, axis=1) * q
-    ct_p = grid.coef_c[1:ns - 1] / dt**2
-    ct_m = np.roll(grid.coef_c[1:ns - 1], 1, axis=1) / dt**2
+    r, r_t, r_s = blend_map(grid.spec, 0.5 * (s[:-1] + s[1:]), grid.theta)
+    a = (r_t * r_t + r * r) / (r * r_s) / ds**2
+    b = -r_t / r * q
+    as_p, as_m, bs_p, bs_m = a[1:], a[:-1], b[1:], b[:-1]
+
+    r, r_t, r_s = blend_map(grid.spec, s[1:-1], grid.theta + 0.5 * dt)
+    bt_p = -r_t / r * q
+    ct_p = r_s / r / dt**2
+    bt_m, ct_m = np.roll(bt_p, 1, axis=1), np.roll(ct_p, 1, axis=1)
 
     return {
         (0, 0): -as_p - as_m - ct_p - ct_m,
@@ -299,8 +309,9 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
 
     Parameters
     ----------
-    f : float or (ns, ntheta) array
-        Right-hand side of the equation (``-2`` for the torsion problem).
+    f : float
+        Constant right-hand side of the equation (``-2`` for the torsion
+        problem); it must be a finite scalar.
     inner_value, outer_value : float or (ntheta,) array
         Dirichlet data on the boundary rows.
     options : SolveOptions, optional
@@ -315,13 +326,9 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     """
     opts = options or SolveOptions()
     ns, nt = grid.ns, grid.ntheta
-    f_arr = np.asarray(f, dtype=float)
-    if f_arr.ndim == 0:
-        f_arr = np.full((ns, nt), float(f_arr))
-    elif f_arr.shape != (ns, nt):
-        raise InvalidInputError("f must be a scalar or an (ns, ntheta) array")
-    if not np.all(np.isfinite(f_arr)):
-        raise InvalidInputError("f must be finite")
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 0 or not np.isfinite(f):
+        raise InvalidInputError("f must be a finite scalar")
     a_arr = _per_angle(inner_value, nt, "inner_value")
     b_arr = _per_angle(outer_value, nt, "outer_value")
 
@@ -331,7 +338,7 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     # right-hand side, and the operator sees zero boundary rows.
     values = np.zeros((ns, nt))
     values[0], values[-1] = a_arr, b_arr
-    rhs = (grid.jac[1:-1] * f_arr[1:-1] - _apply(stencil, values)).ravel()
+    rhs = (grid.jac[1:-1] * f - _apply(stencil, values)).ravel()
 
     def operator(x):
         return _apply(stencil, np.pad(x.reshape(ns - 2, nt), ((1, 1), (0, 0)))).ravel()

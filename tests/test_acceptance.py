@@ -218,9 +218,9 @@ def test_criterion_09_rigidity_contrapositive():
         grid = build_grid(spec, 129, 129)
         field, _ = solve_dirichlet(grid, -2.0, data.a, data.b)
         sd_in = neumann_constancy(neumann_trace(field, "inner"),
-                                  grid.inner_arc_w).sd
+                                  grid.arc_weights("inner")).sd
         sd_out = neumann_constancy(neumann_trace(field, "outer"),
-                                   grid.outer_arc_w).sd
+                                   grid.arc_weights("outer")).sd
         sds.append(max(sd_in, sd_out))
     elapsed = time.perf_counter() - t0
     assert sds[0] <= 1e-2

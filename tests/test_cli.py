@@ -346,6 +346,33 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+class TestAmplitudeWithoutPerturbation:
+    """A nonzero amplitude with no 'perturbation' block to apply it to is a
+    config error: it exits 2 before any solve or row."""
+
+    def test_eps_flag_exits_2(self, tmp_path, run_main):
+        cfg = write_cfg(tmp_path, "v.json", {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16}})
+        proc = run_main("verify", cfg, "--eps", "0.05")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "perturbation" in proc.stderr
+
+    @pytest.mark.parametrize("values, code", [([0.0, 0.05], 2), ([0.0], 0)],
+                             ids=["nonzero", "zero"])
+    def test_eps_sweep(self, tmp_path, values, code, run_main):
+        out = tmp_path / "sweep.csv"
+        payload = {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16},
+                   "sweep": {"parameter": "eps", "values": values},
+                   "output": {"csv": str(out)}}
+        proc = run_main("sweep", write_cfg(tmp_path, "sweep.json", payload))
+        assert proc.returncode == code
+        if code:
+            assert proc.stdout == ""
+            assert not out.exists()
+        else:
+            assert len(out.read_text().splitlines()) == 2
+
+
 class TestMms:
     def test_prints_order(self, tmp_path, run_main):
         payload = {
@@ -418,14 +445,6 @@ class TestEntryPoint:
         code = ("import sys; from serrin import cli; "
                 f"assert cli.main(['verify', {cfg!r}]) in (0, 1); "
                 "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_import_skips_scipy_sparse(self):
-        # SciPy is imported by the solver on first use, so that `import
-        # serrin`, `serrin fit` and `--help` do not pay for it.
-        code = ("import sys, serrin, serrin.cli; "
-                "sys.exit('scipy.sparse' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

@@ -10,7 +10,6 @@ from serrin import (
     FourierCurve,
     InvalidDomainError,
     InvalidInputError,
-    boundary_curvature,
     boundary_length,
     build_grid,
     integrate_area,
@@ -191,15 +190,6 @@ class TestGrid:
         for lookup in (lambda w: boundary_length(spec, w), spec.curve, grid.row):
             with pytest.raises(InvalidInputError, match="which must be"):
                 lookup("middle")
-
-    def test_boundary_curvature_dispatch(self):
-        spec = wavy_domain()
-        assert boundary_curvature(spec, "inner", 0.0) == pytest.approx(
-            WAVY_KAPPA_0, rel=1e-12
-        )
-        assert boundary_curvature(spec, "outer", 1.0) == pytest.approx(
-            0.5, rel=1e-14
-        )
 
     def test_arc_weights_sum_to_length(self):
         g = build_grid(wavy_domain(), 17, 256)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import serrin.solver as solver_module
 
@@ -202,6 +203,60 @@ class TestPreconditioner:
                    for di in (-1, 0, 1) for dj in (-1, 0, 1)}
         with pytest.raises(SolverFailureError, match="singular"):
             solver_module._theta_averaged_inverse(stencil)
+
+
+def _inner_harmonic(k, amp):
+    return DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * (k - 1) + (amp,)),
+                      outer=FourierCurve(c0=1.5))
+
+
+# Circles at the thin (gap down to 1e-3) and thick (r_o / r_i up to 20) edges.
+_EDGE_CIRCLES = st.one_of(
+    st.floats(1e-3, 0.1).map(lambda gap: DomainSpec.circles(1.0, 1.0 + gap)),
+    st.floats(2.0, 20.0).map(lambda ratio: DomainSpec.circles(0.5, 0.5 * ratio)),
+)
+# Plus the steepest boundary, harmonic 16 at amplitude 0.49, and cos 2 theta
+# near-crossings (gaps 0.05 down to 1e-3 from the outer circle 1.5).
+_EDGE_DOMAINS = st.one_of(
+    _EDGE_CIRCLES,
+    st.just(_inner_harmonic(16, 0.49)),
+    st.floats(0.45, 0.499).map(lambda amp: _inner_harmonic(2, amp)),
+)
+_GRID_SIZES = st.tuples(st.integers(9, 40), st.integers(16, 48))
+
+
+class TestStencil:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_EDGE_DOMAINS, sizes=_GRID_SIZES)
+    def test_annihilates_constants(self, spec, sizes):
+        stencil = solver_module._stencil(build_grid(spec, *sizes))
+        residual = solver_module._apply(stencil, np.ones(sizes))
+        assert np.all(np.abs(residual) <= 1e-14 * np.abs(stencil[0, 0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_EDGE_CIRCLES, sizes=_GRID_SIZES)
+    def test_circles_are_theta_invariant_without_mixed_terms(self, spec, sizes):
+        # Why GMRES takes one iteration on circles: the theta-averaged
+        # preconditioner is then the operator itself.
+        stencil = solver_module._stencil(build_grid(spec, *sizes))
+        for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            assert np.all(stencil[di, dj] == 0)
+        for coef in stencil.values():
+            assert np.all(coef == coef[:, :1])
+
+    def test_second_order_consistent(self):
+        # u = x^3 - 3 x y^2 + x^2 + y^2 has Lap(u) = 4.  The local error of
+        # stencil / J falls at second order, which pins the coefficients'
+        # values and their staggering; both boundaries are perturbed.
+        spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.0, 0.1)),
+                          outer=FourierCurve(c0=2.0, sin_coeffs=(0.0, 0.15)))
+        errors = []
+        for n in (65, 129):
+            g = build_grid(spec, n, n)
+            u = g.x ** 3 - 3 * g.x * g.y ** 2 + g.x ** 2 + g.y ** 2
+            lap = solver_module._apply(solver_module._stencil(g), u) / g.jac[1:-1]
+            errors.append(np.max(np.abs(lap - 4.0)))
+        assert np.log2(errors[0] / errors[1]) > 1.9
 
 
 class TestMms:
