@@ -49,9 +49,16 @@ def _number(value, where, integer=False):
     return float(value)
 
 
-def _need(mapping, keys, where):
-    if not isinstance(mapping, dict) or set(mapping) != set(keys):
-        raise ConfigError(f"{where} must have exactly the keys {sorted(keys)}")
+def _block(cfg, name, required=(), optional=()):
+    """Config block ``name`` ({} when absent), else ConfigError unless it is an
+    object with every ``required`` key and no key beyond those and ``optional``."""
+    block = cfg.get(name, {})
+    if not (isinstance(block, dict)
+            and set(required) <= set(block) <= {*required, *optional}):
+        parts = [f"{kind} keys {sorted(keys)}" for kind, keys in
+                 (("required", required), ("optional", optional)) if keys]
+        raise ConfigError(f"'{name}' must be an object with only the {' and '.join(parts)}")
+    return block
 
 
 @dataclass
@@ -116,19 +123,15 @@ def _load_scenario(args) -> Scenario:
     if has_data == has_params:
         raise ConfigError("config needs exactly one of 'boundary_data' or 'model_params'")
     if has_params:
-        _need(cfg["model_params"], {"L", "M", "r_i", "r_o"}, "'model_params'")
-        params = ModelParams(**{k: _number(v, f"model_params.{k}")
-                                for k, v in cfg["model_params"].items()})
+        block = _block(cfg, "model_params", required={"L", "M", "r_i", "r_o"})
+        params = ModelParams(**{k: _number(v, f"model_params.{k}") for k, v in block.items()})
         data = boundary_data_of(params)
     else:
-        _need(cfg["boundary_data"], {"a", "b", "alpha", "beta"}, "'boundary_data'")
-        data = BoundaryData(**{k: _number(v, f"boundary_data.{k}")
-                               for k, v in cfg["boundary_data"].items()})
+        block = _block(cfg, "boundary_data", required={"a", "b", "alpha", "beta"})
+        data = BoundaryData(**{k: _number(v, f"boundary_data.{k}") for k, v in block.items()})
         params = None
 
-    res = cfg.get("resolution", {})
-    if not isinstance(res, dict) or set(res) - {"ns", "ntheta"}:
-        raise ConfigError("'resolution' allows only 'ns' and 'ntheta'")
+    res = _block(cfg, "resolution", optional={"ns", "ntheta"})
     ns = _number(res.get("ns", _DEFAULT_NS), "resolution.ns", integer=True)
     ntheta = _number(res.get("ntheta", _DEFAULT_NTHETA), "resolution.ntheta", integer=True)
     if args.ns is not None:
@@ -136,9 +139,7 @@ def _load_scenario(args) -> Scenario:
     if args.ntheta is not None:
         ntheta = args.ntheta
 
-    sol = cfg.get("solver", {})
-    if not isinstance(sol, dict) or set(sol) - {"tol"}:
-        raise ConfigError("'solver' allows only 'tol'")
+    sol = _block(cfg, "solver", optional={"tol"})
     options = SolveOptions(tol=_number(sol.get("tol", SolveOptions.tol), "solver.tol"))
 
     if "domain" in cfg:
@@ -151,8 +152,7 @@ def _load_scenario(args) -> Scenario:
     perturbation = None
     eps = 0.0
     if "perturbation" in cfg:
-        pert = cfg["perturbation"]
-        _need(pert, {"target", "harmonic", "kind", "amplitude"}, "'perturbation'")
+        pert = _block(cfg, "perturbation", required={"target", "harmonic", "kind", "amplitude"})
         target, kind = pert["target"], pert["kind"]
         harmonic = _number(pert["harmonic"], "perturbation.harmonic", integer=True)
         # checked before Scenario.domain pads the coefficients up to the harmonic
@@ -165,9 +165,7 @@ def _load_scenario(args) -> Scenario:
     if getattr(args, "eps", None) is not None:
         eps = args.eps
 
-    output = cfg.get("output", {})
-    if not isinstance(output, dict) or set(output) - {"report", "csv", "field"}:
-        raise ConfigError("'output' allows only 'report', 'csv' and 'field'")
+    output = _block(cfg, "output", optional={"report", "csv", "field"})
     # open() raises ValueError, not OSError, on a path with a NUL character
     if not all(isinstance(v, str) and v and "\0" not in v for v in output.values()):
         raise ConfigError("'output' values must be file paths (nonempty strings without NUL)")
@@ -178,8 +176,7 @@ def _load_scenario(args) -> Scenario:
 
     sweep = None
     if "sweep" in cfg:
-        sw = cfg["sweep"]
-        _need(sw, {"parameter", "values"}, "'sweep'")
+        sw = _block(cfg, "sweep", required={"parameter", "values"})
         parameter, values = sw["parameter"], sw["values"]
         if parameter not in ("eps", "ns", "ntheta"):
             raise ConfigError("sweep parameter must be one of eps, ns, ntheta")
@@ -194,9 +191,7 @@ def _load_scenario(args) -> Scenario:
 
     mms = None
     if "mms" in cfg:
-        mc = cfg["mms"]
-        if not isinstance(mc, dict) or set(mc) - {"sizes", "exact"}:
-            raise ConfigError("'mms' allows only 'sizes' and 'exact'")
+        mc = _block(cfg, "mms", optional={"sizes", "exact"})
         sizes = mc.get("sizes", [33, 65, 129])
         if not isinstance(sizes, list):
             raise ConfigError("mms sizes must be a list")
@@ -260,11 +255,8 @@ def cmd_verify(args) -> int:
         print(f"csv: {s.output['csv']}")
     failed = sum(c.failed for c in checks)
     print(f"verification: {'PASS' if ok else f'FAIL ({failed} checks)'}")
-    case = ProblemCase(report.case)
-    if case is ProblemCase.DECREASING_UNCOVERED:
-        return 3
-    if case is ProblemCase.INADMISSIBLE:
-        return 2
+    if report.model is None:  # no model fits data in this regime
+        return ProblemCase(report.case).exit_code
     return 0 if ok else 1
 
 

@@ -33,8 +33,8 @@ class ConfigError(SerrinError, ValueError):
 class UnsupportedRegimeError(SerrinError, ValueError):
     """Boundary data falls outside the regimes the model fitter covers.
 
-    Carries the classification tag so callers can distinguish the unproven
-    decreasing regime from outright inadmissible data.
+    Carries the classification tag (a ``ProblemCase``), whose ``exit_code``
+    tells the unproven decreasing regime from outright inadmissible data.
     """
 
     def __init__(self, message, case=None):
@@ -43,9 +43,7 @@ class UnsupportedRegimeError(SerrinError, ValueError):
 
     @property
     def exit_code(self):
-        from .models import ProblemCase
-
-        return 3 if self.case is ProblemCase.DECREASING_UNCOVERED else 2
+        return 2 if self.case is None else self.case.exit_code
 
 
 class RootBracketError(SerrinError, RuntimeError):

@@ -32,7 +32,7 @@ from .errors import (
 # only up to a couple of ulps when the outer slope vanishes.
 _REL_SLACK = 1e-12
 
-# Relative half-width of the excluded neighbourhood around M - psi^2 = 0.
+# Relative half-width of the singular part of degenerate_band, at M = psi^2.
 SINGULAR_CUTOFF = 1e-9
 
 # |F(M)| at the fitted root must not exceed _FIT_TOL * (1 + |large-M limit|).
@@ -51,6 +51,11 @@ class ProblemCase(Enum):
 
     def __str__(self):
         return self.value
+
+    @property
+    def exit_code(self) -> int:
+        """Exit status of a run this regime stops: 3 if unproven, else 2."""
+        return 3 if self is ProblemCase.DECREASING_UNCOVERED else 2
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,13 @@ class ModelParams:
         if self.r_o * self.r_o <= self.M * (1 + _REL_SLACK):
             return ProblemCase.INCREASING
         return ProblemCase.DECREASING_COVERED
+
+    @property
+    def value_range(self) -> tuple:
+        """Closed range ``(lo, hi)`` of the profile's values on the annulus."""
+        ua = model_u(self, self.r_i)
+        ub = model_u(self, self.r_o)
+        return min(ua, ub), max(ua, ub)
 
 
 def _as_array(x):
@@ -310,9 +322,7 @@ def pseudo_radius(params: ModelParams, value):
     order), or comparisons near the root flip and ``psi`` moves by an ulp.
     """
     arr, scalar = _as_array(value)
-    ua = model_u(params, params.r_i)
-    ub = model_u(params, params.r_o)
-    lo_v, hi_v = min(ua, ub), max(ua, ub)
+    lo_v, hi_v = params.value_range
     if not np.all((arr >= lo_v) & (arr <= hi_v)):
         worst = float(np.max(np.maximum(lo_v - arr, arr - hi_v)))
         raise OutOfRangeError(
@@ -354,10 +364,9 @@ def pseudo_radius(params: ModelParams, value):
 
 
 def model_gradient_sq(params: ModelParams, psi):
-    """Squared model gradient ``((M - psi^2)/psi)^2`` at pseudo-radius psi."""
-    arr, scalar = _positive(psi, "model_gradient_sq requires psi > 0")
-    g = (params.M - arr * arr) / arr
-    return _ret(g * g, scalar)
+    """Squared model gradient ``u'(psi)^2`` at pseudo-radius psi."""
+    g = model_u_prime(params, psi)
+    return g * g
 
 
 def refined_k(params: ModelParams) -> float:
@@ -373,10 +382,9 @@ def refined_k(params: ModelParams) -> float:
             "refined_k is defined for decreasing profiles only", case=params.case
         )
     ri, M, L = params.r_i, params.M, params.L
-    ri2 = ri * ri
-    k1 = 4 * M * ri2 - ri2 * ri2 - 4 * M * M * math.log(ri)
+    k1 = refined_k_at(params, ri)
     d = boundary_data_of(params)
-    k2 = 4 * L * M + M * M - 4 * d.a * M - d.alpha * d.alpha * ri2
+    k2 = 4 * L * M + M * M - 4 * d.a * M - d.alpha * d.alpha * (ri * ri)
     if abs(k1 - k2) > 1e-10 * max(1.0, abs(k1)):
         raise InconsistentModelError(
             f"the two closed forms of k disagree: {k1!r} vs {k2!r}"
@@ -384,13 +392,31 @@ def refined_k(params: ModelParams) -> float:
     return k1
 
 
+def refined_k_at(params: ModelParams, r):
+    """``K(r) = 4 M r^2 - r^4 - 4 M^2 log r``, so :func:`refined_k` is ``K(r_i)``;
+    ``math.log`` for a float ``r``, ``np.log`` for an array."""
+    M = params.M
+    r2 = r * r
+    log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
+    return 4 * M * r2 - r2 * r2 - 4 * M * M * log_r
+
+
+def degenerate_band(params: ModelParams, r, cutoff: float = 0.0):
+    """True where ``|M - r^2| <= SINGULAR_CUTOFF * max(1, M)`` (the refined
+    weights are singular there) or, for ``M > 0``, ``|r - sqrt(M)| <= cutoff *
+    sqrt(M)``: the band around the level where the model gradient vanishes."""
+    arr = np.asarray(r, dtype=float)
+    M = params.M
+    band = np.abs(M - arr * arr) <= SINGULAR_CUTOFF * max(1.0, M)
+    if M > 0:
+        rt = math.sqrt(M)
+        band |= np.abs(arr - rt) <= cutoff * rt
+    return band
+
+
 def _singular_guard(params: ModelParams, arr):
-    gap = np.abs(params.M - arr * arr)
-    cut = SINGULAR_CUTOFF * max(1.0, params.M)
-    if arr.size and np.any(gap < cut):
-        raise SingularEvaluationError(
-            f"psi within the singular cutoff {cut:.3e} of sqrt(M)"
-        )
+    if np.any(degenerate_band(params, arr)):
+        raise SingularEvaluationError("psi within the singular band of sqrt(M)")
 
 
 def refined_phi(params: ModelParams, k: float, psi):
@@ -418,9 +444,7 @@ def refined_phi_dot(params: ModelParams, k: float, psi):
     """
     arr, scalar = _positive(psi, "refined_phi_dot requires psi > 0")
     _singular_guard(params, arr)
-    M = params.M
     p2 = arr * arr
-    bracket = 4 * M * p2 - p2 * p2 - 4 * M * M * np.log(arr) - k
-    den = M - p2
-    out = p2 * bracket / (den * den * den)
+    den = params.M - p2
+    out = p2 * (refined_k_at(params, arr) - k) / (den * den * den)
     return _ret(out, scalar)

@@ -42,6 +42,11 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+try:  # numpy's switch for its transparent-huge-page advice
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import _set_madvise_hugepage
+
 from .errors import InvalidInputError, SolverFailureError
 from .geometry import CurvGrid, DomainSpec, blend_map, build_grid
 from .models import ModelParams, model_u
@@ -245,7 +250,13 @@ def _gmres(operator, precondition, rhs, tol):
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     eps = np.finfo(float).eps
     history = []
+    # numpy advises huge pages on arrays of 4 MiB or more, and the advice
+    # outlives the basis on the heap range malloc reuses for it: blocks put
+    # there later fault in 2 MiB at a time whenever the kernel has a huge page
+    # free, so resident memory would grow by steps that differ between runs.
+    advised = _set_madvise_hugepage(False)
     basis = np.empty((_RESTART + 1, rhs.size))
+    _set_madvise_hugepage(advised)
     x = np.zeros(rhs.size)
     r = rhs
     beta = float(np.linalg.norm(r))
@@ -486,14 +497,14 @@ def write_field(field: ScalarField, path) -> None:
     """Write a field to disk: header with sizes and domain hash, then rows
     ``i j x1 x2 value`` in row-major node order.  Deterministic bytes."""
     g = field.grid
-    header = "\n".join([
-        "# scalar field on a blended polar grid",
-        f"{g.ns} {g.ntheta} {g.spec.spec_hash()}",
-        "# i j x1 x2 value",
-    ])
     i, j = np.indices((g.ns, g.ntheta))
-    rows = np.column_stack([a.ravel() for a in (i, j, g.x, g.y, field.values)])
-    np.savetxt(path, rows, fmt="%d %d %.17g %.17g %.17g", header=header, comments="")
+    table = np.stack([i, j, g.x, g.y, field.values], axis=-1)  # (ns, ntheta, 5)
+    row_text = "%d %d %.17g %.17g %.17g\n" * g.ntheta  # a grid row at a time bounds peak memory
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# scalar field on a blended polar grid\n"
+                 f"{g.ns} {g.ntheta} {g.spec.spec_hash()}\n# i j x1 x2 value\n")
+        for block in table:
+            fh.write(row_text % tuple(block.ravel().tolist()))
 
 
 def read_field(path):

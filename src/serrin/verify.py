@@ -32,18 +32,18 @@ from .geometry import (
     region_areas,
 )
 from .models import (
-    SINGULAR_CUTOFF,
     BoundaryData,
     ModelParams,
     ProblemCase,
     boundary_data_of,
     classify_case,
     compatibility,
+    degenerate_band,
     fit_model,
     model_gradient_sq,
-    model_u,
     pseudo_radius,
     refined_k,
+    refined_k_at,
     refined_phi_dot,
 )
 from .solver import ScalarField, SolveOptions, gradient_field, neumann_trace, solve_dirichlet
@@ -176,9 +176,7 @@ def pohozaev_residual(field: ScalarField, data: Optional[BoundaryData] = None) -
 
 def _model_fields(field: ScalarField, params: ModelParams):
     """Pseudo-radius ``psi``, ``W = |grad u|^2`` and the model's ``W0(psi)``."""
-    ua = model_u(params, params.r_i)
-    ub = model_u(params, params.r_o)
-    lo, hi = min(ua, ub), max(ua, ub)
+    lo, hi = params.value_range
     scale = max(1.0, abs(lo), abs(hi))
     worst = float(np.max(np.maximum(field.values - hi, lo - field.values)))
     if worst > _CLIP_TOL * scale:
@@ -188,16 +186,6 @@ def _model_fields(field: ScalarField, params: ModelParams):
         )
     psi = pseudo_radius(params, np.clip(field.values, lo, hi))
     return psi, gradient_field(field).w, model_gradient_sq(params, psi)
-
-
-def _truncation_mask(params: ModelParams, psi, cutoff: float):
-    """Nodes outside the singular cutoff and the ``cutoff * sqrt(M)`` band at sqrt(M)."""
-    M = params.M
-    keep = np.abs(M - psi * psi) > SINGULAR_CUTOFF * max(1.0, M)
-    if M > 0:
-        rt = math.sqrt(M)
-        keep &= np.abs(psi - rt) > cutoff * rt
-    return keep
 
 
 def gradient_bound_margin(field: ScalarField, params: ModelParams):
@@ -252,10 +240,10 @@ def divergence_identity_residual(field: ScalarField, params: ModelParams,
             - integral_outer( |grad u| / (M - psi^2) ),
 
     whose boundary terms both equal 2 pi on the model annulus.  Nodes with
-    ``psi`` within ``cutoff * sqrt(M)`` of ``sqrt(M)`` (or inside the hard
-    singular cutoff) are excluded from the interior integral and counted.
-    When the outer boundary itself is degenerate the outer term is replaced
-    by its analytic limit ``integral_outer(1/psi)``.
+    ``psi`` in the degenerate band (:func:`~serrin.models.degenerate_band`)
+    are excluded from the interior integral and counted.  When a boundary
+    radius lies in that band its term is replaced by the analytic limit
+    ``integral(1/psi)``.
     """
     if params.case is not ProblemCase.INCREASING:
         raise UnsupportedRegimeError(
@@ -263,21 +251,18 @@ def divergence_identity_residual(field: ScalarField, params: ModelParams,
         )
     M, grid = params.M, field.grid
     psi, w, w0 = _model_fields(field, params)
-    keep = _truncation_mask(params, psi, cutoff)
+    keep = ~degenerate_band(params, psi, cutoff)
     integrand = np.zeros_like(psi)
     np.divide(2 * psi * psi * (w0 - w), (M - psi * psi)**3, out=integrand, where=keep)
     interior = integrate_area(grid, integrand)
 
     # On a degenerate (zero-slope) boundary the term |grad u|/(M - psi^2)
     # has the analytic limit 1/psi; the direct quotient amplifies trace
-    # errors by 1/(M - r^2), so the limit is used throughout the truncation
-    # neighbourhood of sqrt(M), not just at the hard singular cutoff.
-    rt = math.sqrt(M) if M > 0 else 0.0
-
+    # errors by 1/(M - r^2), so the limit is used throughout the band.
     def _boundary_term(which):
         row = grid.row(which)
         radius = params.r_i if which == "inner" else params.r_o
-        if M > 0 and (rt - radius) <= cutoff * rt:
+        if degenerate_band(params, radius, cutoff):
             return integrate_boundary(grid, 1.0 / psi[row], which), True
         return integrate_boundary(grid, np.sqrt(w[row]) / (M - psi[row] ** 2), which), False
 
@@ -325,8 +310,9 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams,
         integral(phi_dot (W - W0))
             - (M(4a + alpha^2 - 4L - M) + k)/2 * (|G_i|/r_i - |G_o|/r_o),
 
-    which is nonnegative for genuine solutions.  Interior nodes within
-    ``cutoff * sqrt(M)`` of the degenerate level are excluded and counted.
+    which is nonnegative for genuine solutions.  Interior nodes in the
+    degenerate band (:func:`~serrin.models.degenerate_band`) are excluded
+    and counted.
     """
     if params.case is not ProblemCase.DECREASING_COVERED:
         raise UnsupportedRegimeError(
@@ -338,7 +324,7 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams,
     M, ri, ro, grid = params.M, params.r_i, params.r_o, field.grid
     d = boundary_data_of(params)
     psi, w, w0 = _model_fields(field, params)
-    keep = _truncation_mask(params, psi, cutoff)
+    keep = ~degenerate_band(params, psi, cutoff)
     density = np.zeros_like(psi)
     density[keep] = refined_phi_dot(params, k, psi[keep]) * (w - w0)[keep]
     weighted = integrate_area(grid, density)
@@ -348,9 +334,8 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams,
     # alpha*phi(r_i) and beta*phi(r_o) in closed form; the slope factor of
     # phi's singular part cancels against the boundary slope, with opposite
     # orientation on the two boundaries (M - r^2 = -alpha*r_i = +beta*r_o).
-    k_out = 4 * M * ro * ro - ro**4 - 4 * M * M * math.log(ro)
     inner_term = li * (2 * d.a * d.alpha + (k - k_ref) / (2 * ri))
-    outer_term = lo * (2 * d.b * d.beta - (k - k_out) / (2 * ro))
+    outer_term = lo * (2 * d.b * d.beta - (k - refined_k_at(params, ro)) / (2 * ro))
 
     int4u = integrate_area(grid, 4.0 * field.values)
     residual = int4u - weighted + inner_term + outer_term

@@ -26,6 +26,8 @@ from serrin import (
     refined_phi,
     refined_phi_dot,
 )
+from serrin.models import SINGULAR_CUTOFF, degenerate_band, refined_k_at
+from serrin.verify import DEFAULT_TRUNCATION
 from conftest import random_decreasing, random_increasing, random_model
 
 # Values frozen from a 40-digit arbitrary-precision evaluation of the same
@@ -372,6 +374,40 @@ class TestRefinedQuantities:
             refined_phi(model_c, 0.0, 1.0)
         with pytest.raises(SingularEvaluationError):
             refined_phi_dot(model_c, 0.0, 1.0)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           model=st.sampled_from(["increasing", "decreasing", "B", "D"]),
+           offset=st.integers(0, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_guard_matches_band(self, seed, model, offset, model_b, model_d):
+        # Walk psi one ulp at a time across each edge of the singular band
+        # |M - psi^2| = SINGULAR_CUTOFF * max(1, M): refined_phi_dot raises
+        # exactly where degenerate_band marks psi, and never on the nodes the
+        # identity checks keep, whose band is wider.
+        rng = np.random.default_rng(seed)
+        gens = {"increasing": random_increasing, "decreasing": random_decreasing}
+        p = gens[model](rng) if model in gens else {"B": model_b, "D": model_d}[model]
+        cut = SINGULAR_CUTOFF * max(1.0, p.M)
+        edges = [np.sqrt(p.M + cut)] + ([np.sqrt(p.M - cut)] if p.M > cut else [])
+        for edge in edges:
+            start = edge
+            for _ in range(40 + offset):
+                start = np.nextafter(start, 0.0)
+            walk = [start]
+            for _ in range(80):
+                walk.append(np.nextafter(walk[-1], np.inf))
+            band = degenerate_band(p, np.array(walk))
+            assert band.any() and not band.all()
+            for psi, inside in zip(walk, band):
+                if inside:
+                    with pytest.raises(SingularEvaluationError):
+                        refined_phi_dot(p, 0.0, psi)
+                else:
+                    assert np.isfinite(refined_phi_dot(p, 0.0, psi))
+            keep = ~degenerate_band(p, np.array(walk), DEFAULT_TRUNCATION)
+            refined_phi_dot(p, 0.0, np.array(walk)[keep])
+        if p.case is ProblemCase.DECREASING_COVERED:
+            assert refined_k_at(p, p.r_i) == refined_k(p)
 
     @given(k=st.floats(-10, 10), t=st.floats(0.05, 0.95))
     @settings(max_examples=150, deadline=None)

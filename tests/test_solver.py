@@ -1,5 +1,9 @@
 """Tests for the finite-difference solver, gradients and manufactured fields."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +29,42 @@ from serrin import (
     solve_dirichlet,
     write_field,
 )
+
+
+# Run in a fresh interpreter, where no earlier array has left huge-page advice
+# on the heap.  61 rows of 70k doubles exceed malloc's largest mmap threshold,
+# so each array below is a mapping of its own, and none is touched in full.
+_ADVICE_PROBE = """
+import numpy as np
+import serrin.solver as solver
+
+
+def advised(arr):  # numpy advises from the first page boundary on
+    addr, inside = arr.ctypes.data + arr.nbytes // 2, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                inside = lo <= addr < hi
+            elif inside and head == "VmFlags:":
+                return "hg" in line.split()
+    return False
+
+
+seen = []
+
+
+def identity(v):  # first called on basis row 0: the preconditioner is the identity
+    seen.append(advised(v))
+    return v.copy()
+
+
+control = advised(np.empty((61, 70_000)))
+x, _, _ = solver._gmres(identity, lambda v: v, np.ones(70_000), 1e-8)
+assert np.array_equal(x, np.ones(70_000))
+print(control, seen[0], advised(np.empty((61, 70_000))))
+"""
 
 
 def wavy_domain():
@@ -159,6 +199,16 @@ class TestSolve:
         f1, _ = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
         f2, _ = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
         assert np.array_equal(f1.values, f2.values)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    def test_krylov_basis_has_no_huge_page_advice(self):
+        proc = subprocess.run([sys.executable, "-c", _ADVICE_PROBE], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        control, basis, after = proc.stdout.split()
+        if control == "False":
+            pytest.skip("numpy gives no huge-page advice on this system")
+        assert (basis, after) == ("False", "True")  # the advice is back on after the basis
 
     def test_field_shape_validation(self):
         g = build_grid(DomainSpec.circles(1.0, 2.0), 9, 16)
@@ -379,6 +429,20 @@ class TestFieldIO:
         write_field(fld, p1)
         write_field(fld, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_match_savetxt(self, tmp_path, data_a):
+        # np.savetxt with the documented row format is the reference writer
+        g = build_grid(wavy_domain(), 17, 32)
+        fld, _ = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
+        header = f"# scalar field on a blended polar grid\n17 32 {g.spec.spec_hash()}\n" \
+                 "# i j x1 x2 value"
+        i, j = np.indices((17, 32))
+        rows = np.column_stack([a.ravel() for a in (i, j, g.x, g.y, fld.values)])
+        ref = tmp_path / "ref.dat"
+        np.savetxt(ref, rows, fmt="%d %d %.17g %.17g %.17g", header=header, comments="")
+        path = tmp_path / "field.dat"
+        write_field(fld, path)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_header_layout(self, tmp_path):
         g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
