@@ -382,7 +382,7 @@ def refined_k(params: ModelParams) -> float:
             "refined_k is defined for decreasing profiles only", case=params.case
         )
     ri, M, L = params.r_i, params.M, params.L
-    k1 = refined_k_at(params, ri)
+    k1 = float(refined_k_at(params, ri))
     d = boundary_data_of(params)
     k2 = 4 * L * M + M * M - 4 * d.a * M - d.alpha * d.alpha * (ri * ri)
     if abs(k1 - k2) > 1e-10 * max(1.0, abs(k1)):
@@ -394,11 +394,10 @@ def refined_k(params: ModelParams) -> float:
 
 def refined_k_at(params: ModelParams, r):
     """``K(r) = 4 M r^2 - r^4 - 4 M^2 log r``, so :func:`refined_k` is ``K(r_i)``;
-    ``math.log`` for a float ``r``, ``np.log`` for an array."""
+    ``np.log`` for a float ``r`` too, so :func:`refined_phi_dot` is 0 at ``r_i``."""
     M = params.M
     r2 = r * r
-    log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
-    return 4 * M * r2 - r2 * r2 - 4 * M * M * log_r
+    return 4 * M * r2 - r2 * r2 - 4 * M * M * np.log(r)
 
 
 def degenerate_band(params: ModelParams, r, cutoff: float = 0.0):

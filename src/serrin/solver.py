@@ -95,17 +95,38 @@ class SolveStats:
     solve_s: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField:
-    """Node values of a scalar quantity on a grid."""
+    """Node values of a scalar quantity on a grid.
+
+    ``values`` is read-only and the field cannot be rebound, so the
+    quantities derived from it (:meth:`derived`) are computed once and never
+    go stale.  An array that is already read-only and owns its memory, as
+    :func:`solve_dirichlet` passes, is taken as it is; any other is copied,
+    so a caller's array is never frozen.
+    """
 
     grid: CurvGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.ns, self.grid.ntheta):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.grid.ns, self.grid.ntheta):
             raise InvalidInputError("field values must be shaped (ns, ntheta)")
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_derived", {})
+
+    def derived(self, compute: Callable, *args):
+        """``compute(self, *args)``, computed on the first call with the same
+        ``compute`` and (hashable) ``args`` and kept with the field.  The
+        result is shared between callers, who must not write into it."""
+        key = (compute, *args)
+        if key not in self._derived:
+            self._derived[key] = compute(self, *args)
+        return self._derived[key]
 
 
 @dataclass
@@ -361,6 +382,7 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     t3 = time.perf_counter()
 
     values[1:-1] = x.reshape(ns - 2, nt)
+    values.flags.writeable = False  # the field takes it over
     stats = SolveStats(unknowns=rhs.size, iterations=len(history), residual=residual,
                        seconds=t3 - t0, residuals=history + [residual], assemble_s=t1 - t0,
                        setup_s=t2 - t1, solve_s=t3 - t2)
@@ -402,7 +424,7 @@ def gradient_field(field: ScalarField) -> GradientField:
 def neumann_trace(field: ScalarField, which: str) -> np.ndarray:
     """Outward normal derivative along one boundary row."""
     row, normal = field.grid.row(which), field.grid.outward_normal(which)
-    g = gradient_field(field)
+    g = field.derived(gradient_field)
     return g.gx[row] * normal[0] + g.gy[row] * normal[1]
 
 

@@ -175,7 +175,8 @@ def pohozaev_residual(field: ScalarField, data: Optional[BoundaryData] = None) -
 
 
 def _model_fields(field: ScalarField, params: ModelParams):
-    """Pseudo-radius ``psi``, ``W = |grad u|^2`` and the model's ``W0(psi)``."""
+    """Pseudo-radius ``psi``, ``W = |grad u|^2`` and the model's ``W0(psi)``;
+    the model checks read them through ``field.derived``, once per field."""
     lo, hi = params.value_range
     scale = max(1.0, abs(lo), abs(hi))
     worst = float(np.max(np.maximum(field.values - hi, lo - field.values)))
@@ -185,7 +186,7 @@ def _model_fields(field: ScalarField, params: ModelParams):
             f"(allowed {_CLIP_TOL * scale:.3e})"
         )
     psi = pseudo_radius(params, np.clip(field.values, lo, hi))
-    return psi, gradient_field(field).w, model_gradient_sq(params, psi)
+    return psi, field.derived(gradient_field).w, model_gradient_sq(params, psi)
 
 
 def gradient_bound_margin(field: ScalarField, params: ModelParams):
@@ -196,7 +197,7 @@ def gradient_bound_margin(field: ScalarField, params: ModelParams):
     bound holds on the grid.
     """
     grid = field.grid
-    _, w, w0 = _model_fields(field, params)
+    _, w, w0 = field.derived(_model_fields, params)
     inner = (w - w0)[1:-1]
     flat = int(np.argmax(inner))
     i, j = 1 + flat // grid.ntheta, flat % grid.ntheta
@@ -250,7 +251,7 @@ def divergence_identity_residual(field: ScalarField, params: ModelParams,
             "divergence identity applies to increasing profiles", case=params.case
         )
     M, grid = params.M, field.grid
-    psi, w, w0 = _model_fields(field, params)
+    psi, w, w0 = field.derived(_model_fields, params)
     keep = ~degenerate_band(params, psi, cutoff)
     integrand = np.zeros_like(psi)
     np.divide(2 * psi * psi * (w0 - w), (M - psi * psi)**3, out=integrand, where=keep)
@@ -323,7 +324,7 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams,
         k = k_ref
     M, ri, ro, grid = params.M, params.r_i, params.r_o, field.grid
     d = boundary_data_of(params)
-    psi, w, w0 = _model_fields(field, params)
+    psi, w, w0 = field.derived(_model_fields, params)
     keep = ~degenerate_band(params, psi, cutoff)
     density = np.zeros_like(psi)
     density[keep] = refined_phi_dot(params, k, psi[keep]) * (w - w0)[keep]
@@ -371,7 +372,9 @@ def boundary_distance(grid: CurvGrid, which: str, rows=None):
     px = grid.x[rows].ravel()
     py = grid.y[rows].ravel()
     out = np.empty(px.size)
-    chunk = 256
+    # (chunk, _DISTANCE_SAMPLES) temporaries of 2 MiB stay below the 4 MiB
+    # from which numpy advises huge pages, advice the heap range would keep.
+    chunk = 32
     for start in range(0, px.size, chunk):
         sl = slice(start, start + chunk)
         d2 = (px[sl, None] - bx[None, :]) ** 2 + (py[sl, None] - by[None, :]) ** 2

@@ -361,6 +361,14 @@ class TestRefinedQuantities:
         k = refined_k(model_c)
         assert refined_phi_dot(model_c, k, model_c.r_i) == 0.0
 
+    def test_phi_dot_zero_at_inner_radius_random(self):
+        # K(r_i) in refined_k and K(psi) in refined_phi_dot take the same log,
+        # so the weight vanishes exactly, not to an ulp of K
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            p = random_decreasing(rng)
+            assert refined_phi_dot(p, refined_k(p), np.array([p.r_i]))[0] == 0.0
+
     def test_phi_dot_nonnegative(self, model_b, model_c):
         rng = np.random.default_rng(31)
         for p in (model_b, model_c):

@@ -1,7 +1,7 @@
 """Tests for the identity checks, report assembly and gating."""
 
 import json
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, asdict, astuple
 
 import numpy as np
 import pytest
@@ -22,6 +22,8 @@ from serrin import (
     refined_k,
     solve_dirichlet,
 )
+from serrin import solver as solver_module
+from serrin import verify as verify_module
 from serrin.verify import (
     CSV_COLUMNS,
     TOLERANCES,
@@ -441,3 +443,66 @@ class TestCheckTable:
         assert rep.csv_row(eps=0.25) == [
             "DecreasingUncovered", "33", "32", "0.25", "0.0125", "0.001", "0.002",
         ] + [""] * 8
+
+
+# Model A data on inner 1 + 0.05 cos 3theta, outer 1.5.
+PERTURBED_A = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.0, 0.05)),
+                         outer=FourierCurve(c0=1.5))
+
+
+class TestOneAnalysisPerReport:
+    def _solved(self, data, ns=33, ntheta=32):
+        field, _ = solve_dirichlet(build_grid(PERTURBED_A, ns, ntheta), -2.0, data.a, data.b)
+        return field
+
+    def test_one_inversion_and_one_gradient(self, monkeypatch, data_a):
+        calls = {"pseudo_radius": 0, "gradient_field": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(verify_module, "pseudo_radius",
+                            counting("pseudo_radius", verify_module.pseudo_radius))
+        gradient = counting("gradient_field", solver_module.gradient_field)
+        for module in (solver_module, verify_module):
+            monkeypatch.setattr(module, "gradient_field", gradient)
+        rep = full_report(PERTURBED_A, data_a, 33, 32)
+        assert rep.grad_margin is not None and rep.divergence is not None
+        assert calls == {"pseudo_radius": 1, "gradient_field": 1}
+
+    def test_model_fields_keyed_by_params(self, model_a, data_a):
+        # Both models cover the field's values; each call on the shared field
+        # must match a fresh field, whatever was computed on it before.
+        other = ModelParams(L=0.1, M=4.0, r_i=0.95, r_o=1.55)
+        shared = self._solved(data_a)
+        results = []
+        for params in (model_a, other, model_a):
+            got = gradient_bound_margin(shared, params)
+            assert got == gradient_bound_margin(self._solved(data_a), params)
+            results.append(got)
+        assert results[0] == results[2] != results[1]
+
+    def test_report_matches_standalone_checks(self, data_a):
+        rep = full_report(PERTURBED_A, data_a, 33, 32)
+        margin, at = gradient_bound_margin(self._solved(data_a), rep.model)
+        assert (rep.grad_margin, rep.grad_margin_at) == (margin, at)
+        div = divergence_identity_residual(self._solved(data_a), rep.model)
+        assert asdict(rep.divergence) == asdict(div)
+
+    def test_values_are_read_only(self, data_a):
+        field = self._solved(data_a)
+        with pytest.raises(ValueError):
+            field.values[1, 1] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            field.values = np.zeros_like(field.values)
+        # a caller's array, or a read-only view of one, is copied, not frozen
+        given = np.array(field.values)
+        view = given.view()
+        view.flags.writeable = False
+        copies = [ScalarField(grid=field.grid, values=v) for v in (given, view)]
+        given[1, 1] += 1.0
+        assert given.flags.writeable
+        assert all(c.values[1, 1] == field.values[1, 1] != given[1, 1] for c in copies)
