@@ -72,7 +72,6 @@ from .verify import (
     degenerate_expansion_check,
     divergence_identity_residual,
     evaluate_checks,
-    fit_from_field,
     full_report,
     gradient_bound_margin,
     measured_boundary_data,

@@ -121,12 +121,19 @@ class NeumannStats:
 
 
 def neumann_constancy(values, weights=None) -> NeumannStats:
-    """Weighted mean, standard deviation and maximum deviation of a trace."""
+    """Weighted mean, standard deviation and maximum deviation of a trace.
+
+    Values and weights must be finite, the weights nonnegative with a
+    positive sum; otherwise :class:`InvalidInputError` is raised."""
     vals = np.asarray(values, dtype=float)
     w = np.ones_like(vals) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != vals.shape or vals.size == 0:
         raise InvalidInputError("weights must match the trace values")
     total = float(np.sum(w))
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w)) and np.all(w >= 0)
+            and total > 0):
+        raise InvalidInputError("trace values and weights must be finite, "
+                                "the weights nonnegative with a positive sum")
     mean = float(np.sum(vals * w) / total)
     var = float(np.sum(w * (vals - mean) ** 2) / total)
     return NeumannStats(mean=mean, sd=math.sqrt(max(var, 0.0)),
@@ -134,9 +141,10 @@ def neumann_constancy(values, weights=None) -> NeumannStats:
 
 
 def _neumann_stats(field: ScalarField):
-    """Arc-weighted statistics of the Neumann trace on each side, in SIDES order."""
-    return [neumann_constancy(neumann_trace(field, which), field.grid.arc_weights(which))
-            for which in SIDES]
+    """Arc-weighted statistics of the Neumann trace on each side, in SIDES
+    order; read through ``field.derived``, once per field."""
+    return tuple(neumann_constancy(neumann_trace(field, which), field.grid.arc_weights(which))
+                 for which in SIDES)
 
 
 def _boundary_mean(field: ScalarField, which: str) -> float:
@@ -147,15 +155,9 @@ def _boundary_mean(field: ScalarField, which: str) -> float:
 
 def measured_boundary_data(field: ScalarField) -> BoundaryData:
     """Boundary data read off a field: arc-averaged values and traces."""
-    n_in, n_out = _neumann_stats(field)
+    n_in, n_out = field.derived(_neumann_stats)
     return BoundaryData(a=_boundary_mean(field, "inner"), b=_boundary_mean(field, "outer"),
                         alpha=n_in.mean, beta=n_out.mean)
-
-
-def fit_from_field(field: ScalarField):
-    """Measure boundary data from a field and fit the model to it."""
-    data = measured_boundary_data(field)
-    return data, fit_model(data)
 
 
 def pohozaev_residual(field: ScalarField, data: Optional[BoundaryData] = None) -> float:
@@ -403,7 +405,7 @@ def degenerate_expansion_check(field: ScalarField) -> Optional[ExpansionResult]:
     qualifies.
     """
     cands = [(abs(stats.mean), which, stats.mean)
-             for which, stats in zip(SIDES, _neumann_stats(field))
+             for which, stats in zip(SIDES, field.derived(_neumann_stats))
              if abs(stats.mean) < _DEGENERATE_NEUMANN]
     if not cands:
         return None
@@ -587,7 +589,7 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
         field, stats = solve_dirichlet(grid, -2.0, data.a, data.b, options)
 
     with _timed(timings, "traces"):
-        n_in, n_out = _neumann_stats(field)
+        n_in, n_out = field.derived(_neumann_stats)
     diagnostic = (n_in.sd > TOLERANCES["neumann_sd"]
                   or n_out.sd > TOLERANCES["neumann_sd"])
     note = _REGIME_NOTES[case]

@@ -229,24 +229,23 @@ class TestFit:
                 assert abs(x - y) <= 1e-8 * scale
 
 
-def _reference_pseudo_radius(params, value):
-    """Bisection with ``np.where`` selects: the reference ``pseudo_radius`` must match."""
-    arr = np.asarray(value, dtype=float)
-    increasing = params.case is ProblemCase.INCREASING
-    lo = np.full(arr.shape, params.r_i)
-    hi = np.full(arr.shape, params.r_o)
-    mid = 0.5 * (lo + hi)
-    while np.any((lo < mid) & (mid < hi)):
-        above = model_u(params, mid) > arr
-        if increasing:
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        else:
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        mid = 0.5 * (lo + hi)
-    nearer_hi = np.abs(model_u(params, hi) - arr) < np.abs(model_u(params, lo) - arr)
-    return np.where(nearer_hi, hi, lo)
+def _assert_round_trip(p, value):
+    """``pseudo_radius(p, value)`` lies in [r_i, r_o] and inverts the profile:
+    the residual may reach the rounding error of evaluating u plus one float
+    step of psi times the slope."""
+    psi = pseudo_radius(p, value)
+    assert np.all((p.r_i <= psi) & (psi <= p.r_o))
+    eps = np.finfo(float).eps
+    bound = (4 * eps * (abs(p.L) + psi * psi / 2 + p.M * np.abs(np.log(psi)))
+             + np.abs(model_u_prime(p, psi)) * np.spacing(psi))
+    assert np.all(np.abs(model_u(p, psi) - value) <= bound)
+    return psi
+
+
+def _values_near_top(p):
+    """``hi - (hi - lo) * 10^-j`` for j = 0..16 over the profile range."""
+    lo, hi = p.value_range
+    return np.clip(hi - (hi - lo) * 10.0 ** -np.arange(17), lo, hi)
 
 
 class TestPseudoRadius:
@@ -276,40 +275,52 @@ class TestPseudoRadius:
             pseudo_radius(model_a, np.array([data_a.a, np.nan]))
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0),
-           increasing=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, seed, t, increasing):
-        # Both endpoints and one interior radius of a random model.  The
-        # residual may reach the rounding error of evaluating u plus one
-        # float step of psi times the slope.
-        gen = random_increasing if increasing else random_decreasing
-        p = gen(np.random.default_rng(seed))
-        ends = model_u(p, np.array([p.r_i, p.r_o]))
-        r = min(p.r_i + t * (p.r_o - p.r_i), p.r_o)
-        v = np.array([ends[0], np.clip(model_u(p, r), ends.min(), ends.max()), ends[1]])
-        psi = pseudo_radius(p, v)
-        assert np.all((p.r_i <= psi) & (psi <= p.r_o))
-        eps = np.finfo(float).eps
-        bound = (4 * eps * (abs(p.L) + psi * psi / 2 + p.M * np.abs(np.log(psi)))
-                 + np.abs(model_u_prime(p, psi)) * np.spacing(psi))
-        assert np.all(np.abs(model_u(p, psi) - v) <= bound)
-
-    @given(seed=st.integers(0, 2**32 - 1),
            model=st.sampled_from(["increasing", "decreasing", "B", "D"]))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_reference_bisection(self, seed, model, model_b, model_d):
-        # Both ends, their neighbouring floats inside the range and random
-        # interior values, as an array and one by one as 0-d input.
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, seed, t, model, model_b, model_d):
+        # Both ends, their neighbouring floats inside the range, one radius
+        # drawn by t and 60 random values, as an array and one by one as 0-d
+        # input.
         rng = np.random.default_rng(seed)
         gens = {"increasing": random_increasing, "decreasing": random_decreasing}
         p = gens[model](rng) if model in gens else {"B": model_b, "D": model_d}[model]
         ends = model_u(p, np.array([p.r_i, p.r_o]))
         lo, hi = ends.min(), ends.max()
+        r = min(p.r_i + t * (p.r_o - p.r_i), p.r_o)
         v = np.concatenate([ends, [np.nextafter(lo, hi), np.nextafter(hi, lo)],
-                            rng.uniform(lo, hi, 60)])
-        assert np.array_equal(pseudo_radius(p, v), _reference_pseudo_radius(p, v))
+                            [np.clip(model_u(p, r), lo, hi)], rng.uniform(lo, hi, 60)])
+        _assert_round_trip(p, v)
         for x in v[:8]:
-            assert pseudo_radius(p, np.array(x)) == _reference_pseudo_radius(p, np.array(x))
+            assert isinstance(_assert_round_trip(p, np.array(x)), float)
+
+    @given(gap=st.floats(-15.0, -3.0), shape=st.sampled_from(["above", "below", "outer"]),
+           log_m=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_near_sqrt_m(self, gap, shape, log_m, c):
+        # A zero-slope radius at relative distance 10^gap from an end: r_i
+        # just above sqrt(M) (decreasing), r_i just below it on a thin
+        # increasing annulus with r_o = sqrt(M), or r_o just below it.
+        M = 10.0 ** log_m
+        root, g = np.sqrt(M), 10.0 ** gap
+        r_i, r_o = {"above": (root * (1 + g), 2 * root * (1 + g)),
+                    "below": (root * (1 - g), root),
+                    "outer": (0.5 * root * (1 - g), root * (1 - g))}[shape]
+        p = ModelParams(L=c * M, M=M, r_i=r_i, r_o=r_o)
+        _assert_round_trip(p, _values_near_top(p))
+
+    @given(M=st.sampled_from([0.0, 1e-300, 1e-12]), log_ri=st.floats(-3.0, 3.0),
+           width=st.floats(0.03, 2.0), c=st.floats(-2.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_small_m(self, M, log_ri, width, c):
+        # Decreasing models with M -> 0.  L is drawn on the scale of r_i^2:
+        # a value carries rounding of relative size eps*|L|/psi^2, which
+        # bounds how closely any inverse can match sqrt(2(L - v)).
+        r_i = 10.0 ** log_ri
+        p = ModelParams(L=c * r_i * r_i, M=M, r_i=r_i, r_o=r_i * (1 + width))
+        v = _values_near_top(p)
+        psi = _assert_round_trip(p, v)
+        if M == 0.0:
+            assert np.all(np.abs(psi - np.sqrt(2 * (p.L - v))) <= 1e-15 * psi)
 
 
 class TestGradientSq:

@@ -17,6 +17,7 @@ from serrin import (
     UnsupportedRegimeError,
     boundary_data_of,
     build_grid,
+    fit_model,
     integrate_area,
     model_u,
     refined_k,
@@ -37,7 +38,6 @@ from serrin.verify import (
     degenerate_expansion_check,
     divergence_identity_residual,
     evaluate_checks,
-    fit_from_field,
     full_report,
     gradient_bound_margin,
     measured_boundary_data,
@@ -74,6 +74,18 @@ class TestNeumannStats:
         assert st.sd == 0.0
         assert st.mean == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("values, weights", [
+        ([1.0, 2.0], [0.0, 0.0]),        # zero weight sum
+        ([1.0, 2.0], [1.0, -1.0]),       # negative weight
+        ([1.0, np.nan], [1.0, 1.0]),     # non-finite value
+        ([1.0, np.inf], None),
+        ([1.0, 2.0], [1.0, np.nan]),     # non-finite weight
+        ([1.0, 2.0], [np.inf, 1.0]),
+    ])
+    def test_bad_input_rejected(self, values, weights):
+        with pytest.raises(InvalidInputError):
+            neumann_constancy(np.array(values), None if weights is None else np.array(weights))
+
 
 class TestMeasuredData:
     def test_recovers_boundary_data(self, model_a):
@@ -86,7 +98,7 @@ class TestMeasuredData:
 
     def test_fit_from_field(self, model_a):
         grid, field, _ = solved(model_a, 65, 64)
-        md, fitted = fit_from_field(field)
+        fitted = fit_model(measured_boundary_data(field))
         assert fitted.M == pytest.approx(model_a.M, rel=1e-3)
         assert fitted.r_i == pytest.approx(model_a.r_i, rel=1e-3)
 
@@ -456,7 +468,7 @@ class TestOneAnalysisPerReport:
         return field
 
     def test_one_inversion_and_one_gradient(self, monkeypatch, data_a):
-        calls = {"pseudo_radius": 0, "gradient_field": 0}
+        calls = {"pseudo_radius": 0, "gradient_field": 0, "neumann_trace": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -464,14 +476,14 @@ class TestOneAnalysisPerReport:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(verify_module, "pseudo_radius",
-                            counting("pseudo_radius", verify_module.pseudo_radius))
+        for name in ("pseudo_radius", "neumann_trace"):
+            monkeypatch.setattr(verify_module, name, counting(name, getattr(verify_module, name)))
         gradient = counting("gradient_field", solver_module.gradient_field)
         for module in (solver_module, verify_module):
             monkeypatch.setattr(module, "gradient_field", gradient)
         rep = full_report(PERTURBED_A, data_a, 33, 32)
         assert rep.grad_margin is not None and rep.divergence is not None
-        assert calls == {"pseudo_radius": 1, "gradient_field": 1}
+        assert calls == {"pseudo_radius": 1, "gradient_field": 1, "neumann_trace": 2}
 
     def test_model_fields_keyed_by_params(self, model_a, data_a):
         # Both models cover the field's values; each call on the shared field
