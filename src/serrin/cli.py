@@ -78,14 +78,13 @@ class Scenario:
     # (sizes, exact kind); None when the config has no 'mms'
     mms: Optional[tuple]
 
-    def domain(self, eps: Optional[float] = None) -> DomainSpec:
-        """The base domain perturbed at amplitude ``eps`` (default: the config's).
+    def domain(self) -> DomainSpec:
+        """The base domain perturbed at the scenario's amplitude ``eps``.
 
         A 'perturbation' block applies even at amplitude 0, which pads the
         coefficients that the domain hash reads; without one the amplitude is
         0, since :func:`_load_scenario` rejects any other.
         """
-        eps = self.eps if eps is None else eps
         if self.base is None:
             raise ConfigError(
                 "config needs a 'domain' (or model parameters to default to circles)"
@@ -97,7 +96,7 @@ class Scenario:
         key = f"{kind}_coeffs"
         coeffs = list(getattr(curve, key))
         coeffs += [0.0] * (harmonic - len(coeffs))
-        coeffs[harmonic - 1] += float(eps)
+        coeffs[harmonic - 1] += float(self.eps)
         return replace(self.base, **{target: replace(curve, **{key: tuple(coeffs)})})
 
 
@@ -272,24 +271,16 @@ def cmd_sweep(args) -> int:
     if s.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' config block")
     parameter, values = s.sweep
-    # A config error exits before any row; per-point errors stay in-row.  Only
-    # an eps sweep varies the domain, so any other sweep builds it once here.
-    spec = s.domain(eps=0.0) if parameter == "eps" else s.domain()
+    # A config error exits before any row; per-point errors stay in-row.
+    (replace(s, eps=0.0) if parameter == "eps" else s).domain()
 
     def run_one(v):
-        eps, ns, ntheta = s.eps, s.ns, s.ntheta
-        if parameter == "eps":
-            eps = v
-        elif parameter == "ns":
-            ns = v
-        else:
-            ntheta = v
+        p = replace(s, **{parameter: v})
         try:
-            domain = s.domain(eps=eps) if parameter == "eps" else spec
-            report = full_report(domain, s.data, ns, ntheta, s.options)
-            return report.csv_row(eps=eps)
+            report = full_report(p.domain(), p.data, p.ns, p.ntheta, p.options)
+            return report.csv_row(eps=p.eps)
         except Exception as e:  # recorded in-row; the sweep continues
-            return error_row(str(classify_case(s.data)), ns, ntheta, eps,
+            return error_row(str(classify_case(p.data)), p.ns, p.ntheta, p.eps,
                              f"{type(e).__name__}: {e}")
 
     rows = [run_one(v) for v in values]

@@ -55,8 +55,9 @@ class FourierCurve:
     """Closed star-shaped curve ``rho(theta)`` as a truncated Fourier series.
 
     ``cos_coeffs[n-1]`` and ``sin_coeffs[n-1]`` are the coefficients of
-    ``cos(n theta)`` and ``sin(n theta)``.  The radius must stay positive;
-    this is checked on a fine sample at construction.
+    ``cos(n theta)`` and ``sin(n theta)``.  The radius must stay positive,
+    which is checked on a fine sample at construction, and the sum of the
+    coefficients' magnitudes, which bounds it, must be finite.
     """
 
     c0: float
@@ -70,8 +71,11 @@ class FourierCurve:
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "cos_coeffs", _check_coeffs("cos", self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", _check_coeffs("sin", self.sin_coeffs))
+        bound = abs(c0) + sum(map(abs, self.cos_coeffs)) + sum(map(abs, self.sin_coeffs))
+        if not math.isfinite(bound):
+            raise InvalidDomainError("curve radius can overflow: its coefficients are too large")
         th = np.linspace(0.0, 2 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
-        if np.min(self.radius(th)) <= 0:
+        if not np.all(self.radius(th) > 0):
             raise InvalidDomainError("curve radius must be positive for all angles")
 
     def _series(self, theta, order):
@@ -182,7 +186,7 @@ class DomainSpec:
     def __post_init__(self):
         th = np.linspace(0.0, 2 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
         gap = self.outer.radius(th) - self.inner.radius(th)
-        if np.min(gap) <= 0:
+        if not np.all(gap > 0):
             raise InvalidDomainError(
                 "outer curve must stay strictly outside the inner curve"
             )
@@ -273,11 +277,15 @@ def blend_map(spec: DomainSpec, s, theta):
 def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     """Build the blended polar grid with ``ns`` rows and ``ntheta`` columns.
 
-    Requires ``ns >= 9`` and ``ntheta >= 16``.  Raises
-    :class:`InvalidDomainError` if the mapping Jacobian is not positive
-    everywhere on the grid.
+    Requires integer ``ns >= 9`` and ``ntheta >= 16``.  Raises
+    :class:`InvalidDomainError` if the mapping Jacobian is not positive and
+    finite everywhere on the grid.
     """
-    if int(ns) != ns or int(ntheta) != ntheta:
+    try:  # int() raises on NaN and on infinities
+        whole = int(ns) == ns and int(ntheta) == ntheta
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
         raise InvalidInputError("grid sizes must be integers")
     ns, ntheta = int(ns), int(ntheta)
     if ns < 9 or ntheta < 16:
@@ -290,9 +298,10 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     r, _, r_s = blend_map(spec, s, theta)
     x = r * np.cos(theta)[None, :]
     y = r * np.sin(theta)[None, :]
-    jac = r * r_s
-    if np.min(jac) <= 0:
-        raise InvalidDomainError("grid Jacobian is not positive")
+    with np.errstate(over="ignore"):
+        jac = r * r_s
+    if not np.all(np.isfinite(jac) & (jac > 0)):
+        raise InvalidDomainError("grid Jacobian is not positive and finite")
 
     ws = np.full(ns, ds)
     ws[0] = ws[-1] = 0.5 * ds

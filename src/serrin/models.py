@@ -20,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    InconsistentModelError,
     InvalidInputError,
     OutOfRangeError,
     RootBracketError,
@@ -202,30 +201,31 @@ def classify_case(data: BoundaryData) -> ProblemCase:
 def compatibility(data: BoundaryData, m: float) -> float:
     """Compatibility function whose root in ``m`` fits the model.
 
-    For ``m > 0`` the value is
+    The value is
 
         4a + alpha^2 - 4b - beta^2 + alpha*s_a + beta*s_b
         + 4m * log((-beta + s_b) / (alpha + s_a)),
 
     with ``s_a = sqrt(alpha^2 + 4m)`` and ``s_b = sqrt(beta^2 + 4m)``.  At
-    ``m = 0`` the logarithm term vanishes with its prefactor and the closed
-    form ``4a + 2*alpha^2 - 4b - 2*beta^2`` is used instead.  The value is
-    4 times the Dirichlet mismatch left at the outer radius when the slopes
-    are matched exactly.
+    ``m = 0`` the logarithm term is dropped: it vanishes with its prefactor,
+    so ``F`` is continuous at 0 for every sign of ``alpha`` and ``beta``.
+    The value is 4 times the Dirichlet mismatch left at the outer radius
+    when the slopes are matched exactly.
     """
     m = float(m)
     if not math.isfinite(m) or m < 0:
         raise InvalidInputError("compatibility requires m >= 0")
     a, b, al, be = data.as_tuple()
-    if m == 0.0:
-        return 4 * a + 2 * al * al - 4 * b - 2 * be * be
     sa = math.sqrt(al * al + 4 * m)
     sb = math.sqrt(be * be + 4 * m)
+    value = (4 * a + al * al - 4 * b - be * be) + al * sa + be * sb
+    if m == 0.0:
+        return value
     den = al + sa
     num = -be + sb
     if den <= 0 or num <= 0:
         raise SingularEvaluationError("degenerate logarithm argument in compatibility")
-    return (4 * a + al * al - 4 * b - be * be) + al * sa + be * sb + 4 * m * math.log(num / den)
+    return value + 4 * m * math.log(num / den)
 
 
 def _build_params(data: BoundaryData, m: float) -> ModelParams:
@@ -244,13 +244,16 @@ def fit_model(data: BoundaryData) -> ModelParams:
     """Fit the radial model matching the boundary data exactly.
 
     Raises :class:`UnsupportedRegimeError` unless the data classify as
-    Increasing or DecreasingCovered.  The compatibility root is bracketed by
-    a geometric ladder started at ``max(1, alpha^2, beta^2)``, which stops at
-    its first sign change (falling back to ``m = 0`` when halving never
-    finds one).  Bisection then narrows that bracket until its ends are
-    adjacent floats, and the end with the smaller ``|F|`` is returned;
-    :class:`RootBracketError` is raised if that ``|F|`` exceeds the fit
-    tolerance.
+    Increasing or DecreasingCovered.  The root of the compatibility
+    function ``F`` is bracketed from ``m0 = max(1, alpha^2, beta^2)``.  Where ``F(m0) <= 0``
+    the bracket doubles upward until ``F > 0``, up to a ceiling.  Otherwise
+    ``F(0)`` is read first: ``M = 0`` is returned when ``|F(0)|`` is within
+    the fit tolerance, :class:`RootBracketError` is raised when
+    ``F(0) > 0``, and else the bracket halves until ``F <= 0``, which the
+    continuity of ``F`` at 0 guarantees.  Bisection then narrows the
+    bracket until its ends are adjacent floats, and the end with the
+    smaller ``|F|`` is returned; :class:`RootBracketError` is raised if
+    that ``|F|`` exceeds the fit tolerance.
     """
     case = classify_case(data)
     if case not in (ProblemCase.INCREASING, ProblemCase.DECREASING_COVERED):
@@ -268,18 +271,14 @@ def fit_model(data: BoundaryData) -> ModelParams:
     lo = hi = max(1.0, al * al, be * be)
     f_lo = f_hi = F(lo)
     if f_lo > 0:
-        for _ in range(1100):
+        f_zero = F(0.0)
+        if abs(f_zero) <= ftol:
+            return _build_params(data, 0.0)
+        if f_zero > 0:
+            raise RootBracketError("compatibility has no sign change down to m = 0")
+        while f_lo > 0:  # ends at the latest at lo = 0.0, where F < 0
             lo, hi, f_hi = 0.5 * lo, lo, f_lo
             f_lo = F(lo)
-            if f_lo <= 0 or lo < 1e-300:
-                break
-        if f_lo > 0:
-            hi, f_hi = lo, f_lo
-            lo, f_lo = 0.0, F(0.0)
-            if abs(f_lo) <= ftol:
-                return _build_params(data, 0.0)
-            if f_lo > 0:
-                raise RootBracketError("compatibility has no sign change down to m = 0")
     else:
         while f_hi <= 0:
             if hi > _BRACKET_CEILING:
@@ -345,26 +344,13 @@ def model_gradient_sq(params: ModelParams, psi):
 
 
 def refined_k(params: ModelParams) -> float:
-    """Canonical constant for the refined identity on decreasing models.
-
-    Computed as ``4*M*r_i^2 - r_i^4 - 4*M^2*log(r_i)`` and cross-checked
-    against the equivalent boundary-data form
-    ``4*L*M + M^2 - 4*a*M - alpha^2*r_i^2``; disagreement beyond 1e-10
-    (relative to max(1, |k|)) raises :class:`InconsistentModelError`.
-    """
+    """Canonical constant ``K(r_i) = 4*M*r_i^2 - r_i^4 - 4*M^2*log(r_i)`` of
+    the refined identity on decreasing models (see :func:`refined_k_at`)."""
     if params.case is not ProblemCase.DECREASING_COVERED:
         raise UnsupportedRegimeError(
             "refined_k is defined for decreasing profiles only", case=params.case
         )
-    ri, M, L = params.r_i, params.M, params.L
-    k1 = float(refined_k_at(params, ri))
-    d = boundary_data_of(params)
-    k2 = 4 * L * M + M * M - 4 * d.a * M - d.alpha * d.alpha * (ri * ri)
-    if abs(k1 - k2) > 1e-10 * max(1.0, abs(k1)):
-        raise InconsistentModelError(
-            f"the two closed forms of k disagree: {k1!r} vs {k2!r}"
-        )
-    return k1
+    return float(refined_k_at(params, params.r_i))
 
 
 def refined_k_at(params: ModelParams, r):

@@ -227,6 +227,25 @@ class TestVerify:
         proc = run_main("verify", cfg)
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("domain", [
+        {"inner": {"c0": 1.5e308, "cos": [0.5e308]}, "outer": {"c0": 1.6e308, "cos": [0.5e308]}},
+        {"inner": {"c0": 1e200}, "outer": {"c0": 2e200}},
+    ])
+    def test_overflowing_domain_exits_2(self, tmp_path, domain, run_main):
+        cfg = write_cfg(tmp_path, "verify.json", {
+            **MODEL_A, "domain": domain, "resolution": {"ns": 9, "ntheta": 16},
+        })
+        proc = run_main("verify", cfg)  # an overflow warning would raise here
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_large_constant_is_no_numerical_failure(self, tmp_path, run_main):
+        # k is K(r_i), which does not read L; the verdict itself is not pinned
+        cfg = write_cfg(tmp_path, "verify.json", {
+            "model_params": {"L": 1e7, "M": 1.0, "r_i": 1.2, "r_o": 2.0},
+        })
+        assert run_main("verify", cfg).returncode in (0, 1)
+
     def test_timings_flag(self, tmp_path, run_main):
         out = tmp_path / "row.csv"
         payload = {

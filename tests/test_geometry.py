@@ -52,6 +52,14 @@ class TestFourierCurve:
         with pytest.raises(InvalidDomainError):
             FourierCurve(c0=0.05, cos_coeffs=(0.2,))
 
+    def test_overflowing_radius_rejected(self):
+        # the radius would overflow to inf on some angles
+        # (and without an overflow warning, which the test settings make an error)
+        with pytest.raises(InvalidDomainError):
+            FourierCurve(c0=1.5e308, cos_coeffs=(0.5e308,))
+        with pytest.raises(InvalidDomainError):
+            FourierCurve(c0=1.0, sin_coeffs=(1e308,) * 2)
+
     def test_point_and_speed(self):
         c = WAVY
         th = 1.1
@@ -161,6 +169,19 @@ class TestGrid:
             build_grid(spec, 9, 15)
         with pytest.raises(InvalidInputError):
             build_grid(spec, 9.5, 16)
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sizes_rejected(self, size):
+        spec = DomainSpec.circles(1.0, 2.0)
+        with pytest.raises(InvalidInputError):
+            build_grid(spec, size, 16)
+        with pytest.raises(InvalidInputError):
+            build_grid(spec, 9, size)
+
+    def test_overflowing_jacobian_rejected(self):
+        # r * r_s overflows to inf although both radii are finite
+        with pytest.raises(InvalidDomainError):
+            build_grid(DomainSpec.circles(1e200, 2e200), 9, 16)
 
     def test_area_weights_exact_on_constant(self):
         g = build_grid(wavy_domain(), 17, 48)

@@ -1,12 +1,13 @@
 """Tests for the radial model family, case classification and fitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from serrin import (
     BoundaryData,
-    InconsistentModelError,
     InvalidInputError,
     ModelParams,
     OutOfRangeError,
@@ -26,6 +27,7 @@ from serrin import (
     refined_phi,
     refined_phi_dot,
 )
+from serrin import models as models_module
 from serrin.models import SINGULAR_CUTOFF, degenerate_band, refined_k_at
 from serrin.verify import DEFAULT_TRUNCATION
 from conftest import random_decreasing, random_increasing, random_model
@@ -169,10 +171,23 @@ class TestCompatibility:
     def test_large_m_limit(self, data_a):
         assert compatibility(data_a, 1e6) == pytest.approx(S_A, abs=0.01)
 
-    def test_m_zero_closed_form(self, data_a):
-        a, b, al, be = data_a.as_tuple()
-        expected = 4 * a + 2 * al * al - 4 * b - 2 * be * be
-        assert compatibility(data_a, 0.0) == pytest.approx(expected, rel=1e-14)
+    def test_m_zero_closed_form(self, model_b, data_c):
+        # decreasing data (alpha >= 0 > beta): alpha*|alpha| + beta*|beta| at
+        # m = 0 turns the large-M limit into 4a + 2 alpha^2 - 4b - 2 beta^2
+        for d in (boundary_data_of(model_b), data_c):
+            a, b, al, be = d.as_tuple()
+            expected = 4 * a + 2 * al * al - 4 * b - 2 * be * be
+            assert compatibility(d, 0.0) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    @given(a=st.floats(-5, 5), b=st.floats(-5, 5),
+           al=st.floats(-5, 5), be=st.floats(-5, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_continuous_at_zero(self, a, b, al, be):
+        # F(0) is the m -> 0+ limit for every sign pattern of alpha and beta
+        d = BoundaryData(a=a, b=b, alpha=al, beta=be)
+        m = 1e-12 * max(1.0, al * al, be * be)
+        f0 = compatibility(d, 0.0)
+        assert abs(f0 - compatibility(d, m)) <= 1e-8 * (1.0 + abs(f0))
 
     def test_negative_m_rejected(self, data_a):
         with pytest.raises(InvalidInputError):
@@ -187,6 +202,19 @@ class TestFit:
             assert q.r_i == pytest.approx(p.r_i, rel=1e-7)
             assert q.r_o == pytest.approx(p.r_o, rel=1e-7)
             assert q.L == pytest.approx(p.L, rel=1e-7, abs=1e-9)
+
+    def test_m_zero_model_fits_exactly(self, monkeypatch, model_b):
+        # F(0) is read first on the way down, so an M = 0 model fits to 0.0
+        calls = []
+
+        def counting(data, m):
+            calls.append(m)
+            return compatibility(data, m)
+
+        monkeypatch.setattr(models_module, "compatibility", counting)
+        q = fit_model(boundary_data_of(model_b))
+        assert q.M == 0.0
+        assert len(calls) <= 3
 
     def test_outer_zero_slope_model(self):
         # beta = 0 exactly when r_o = sqrt(M)
@@ -342,6 +370,12 @@ class TestRefinedQuantities:
     def test_k_for_m_zero(self, model_b):
         # k = -r_i^4 when M = 0 and r_i = 1
         assert refined_k(model_b) == pytest.approx(-1.0, rel=1e-13)
+
+    def test_k_independent_of_l(self, model_c):
+        # K(r_i) does not read L, so a large L changes no bit of k
+        k0 = refined_k(model_c)
+        for L in (1e6, 1e8, -3e7):
+            assert refined_k(replace(model_c, L=L)) == k0
 
     def test_k_rejects_increasing(self, model_a):
         with pytest.raises(UnsupportedRegimeError):
