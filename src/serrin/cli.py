@@ -161,7 +161,7 @@ def _load_scenario(args) -> Scenario:
                               f"harmonic in 1..{MAX_DEGREE}")
         perturbation = (target, kind, harmonic)
         eps = _number(pert["amplitude"], "perturbation.amplitude")
-    if getattr(args, "eps", None) is not None:
+    if args.eps is not None:
         eps = args.eps
 
     output = _block(cfg, "output", optional={"report", "csv", "field"})
@@ -324,26 +324,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on doubly connected planar domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--ns", type=int, help="override grid rows")
+    grid.add_argument("--ntheta", type=int, help="override grid columns")
+    amp = argparse.ArgumentParser(add_help=False)
+    amp.add_argument("--eps", type=float, help="override the perturbation amplitude")
+    # each subcommand takes only the overrides it reads; mms reads its sizes from the config
     specs = [
-        ("fit", cmd_fit, "fit the radial model to boundary data"),
-        ("solve", cmd_solve, "solve the Dirichlet problem and write the field"),
-        ("verify", cmd_verify, "run the identity checks and report"),
-        ("sweep", cmd_sweep, "run verification over a parameter sweep"),
-        ("mms", cmd_mms, "manufactured-solution convergence study"),
+        ("fit", cmd_fit, "fit the radial model to boundary data", []),
+        ("solve", cmd_solve, "solve the Dirichlet problem and write the field", [grid, amp]),
+        ("verify", cmd_verify, "run the identity checks and report", [grid, amp]),
+        ("sweep", cmd_sweep, "run verification over a parameter sweep", [grid, amp]),
+        ("mms", cmd_mms, "manufactured-solution convergence study", [amp]),
     ]
-    for name, func, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
+    for name, func, help_text, parents in specs:
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.add_argument("config", help="path to a JSON scenario config")
-        p.add_argument("--ns", type=int, default=None, help="override grid rows")
-        p.add_argument("--ntheta", type=int, default=None, help="override grid columns")
-        p.add_argument("--eps", type=float, default=None,
-                       help="override the perturbation amplitude")
         if name == "verify":
             p.add_argument("--expect-asymmetric", action="store_true",
                            help="treat Neumann constancy failures as expected")
             p.add_argument("--timings", action="store_true",
                            help="print the report's stage timings and solver statistics")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, ns=None, ntheta=None, eps=None)
     return parser
 
 

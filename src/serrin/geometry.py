@@ -56,8 +56,8 @@ class FourierCurve:
 
     ``cos_coeffs[n-1]`` and ``sin_coeffs[n-1]`` are the coefficients of
     ``cos(n theta)`` and ``sin(n theta)``.  The radius must stay positive,
-    which is checked on a fine sample at construction, and the sum of the
-    coefficients' magnitudes, which bounds it, must be finite.
+    which is checked on a fine sample at construction, and the coefficients'
+    bound on ``rho^2 + rho'^2``, which the speed squares, must be finite.
     """
 
     c0: float
@@ -71,9 +71,14 @@ class FourierCurve:
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "cos_coeffs", _check_coeffs("cos", self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", _check_coeffs("sin", self.sin_coeffs))
-        bound = abs(c0) + sum(map(abs, self.cos_coeffs)) + sum(map(abs, self.sin_coeffs))
-        if not math.isfinite(bound):
-            raise InvalidDomainError("curve radius can overflow: its coefficients are too large")
+        # |rho| <= bound and |rho'| <= slope; the stencil's r^2 + r_theta^2,
+        # convex in s, is at most the larger of the two curves' rho^2 + rho'^2
+        terms = [(n, abs(v)) for coeffs in (self.cos_coeffs, self.sin_coeffs)
+                 for n, v in enumerate(coeffs, start=1)]
+        bound = abs(c0) + sum(v for _, v in terms)
+        slope = sum(n * v for n, v in terms)
+        if not math.isfinite(bound * bound + slope * slope):
+            raise InvalidDomainError("curve speed can overflow: its coefficients are too large")
         th = np.linspace(0.0, 2 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
         if not np.all(self.radius(th) > 0):
             raise InvalidDomainError("curve radius must be positive for all angles")

@@ -245,15 +245,14 @@ def fit_model(data: BoundaryData) -> ModelParams:
 
     Raises :class:`UnsupportedRegimeError` unless the data classify as
     Increasing or DecreasingCovered.  The root of the compatibility
-    function ``F`` is bracketed from ``m0 = max(1, alpha^2, beta^2)``.  Where ``F(m0) <= 0``
-    the bracket doubles upward until ``F > 0``, up to a ceiling.  Otherwise
-    ``F(0)`` is read first: ``M = 0`` is returned when ``|F(0)|`` is within
-    the fit tolerance, :class:`RootBracketError` is raised when
-    ``F(0) > 0``, and else the bracket halves until ``F <= 0``, which the
-    continuity of ``F`` at 0 guarantees.  Bisection then narrows the
-    bracket until its ends are adjacent floats, and the end with the
-    smaller ``|F|`` is returned; :class:`RootBracketError` is raised if
-    that ``|F|`` exceeds the fit tolerance.
+    function ``F`` is bracketed along one path: ``M = 0`` is returned when
+    ``|F(0)|`` is within the fit tolerance, :class:`RootBracketError` is
+    raised when ``F(0) > 0``, and otherwise ``lo = 0`` while ``hi`` doubles
+    from ``m0 = max(1, alpha^2, beta^2)`` until ``F(hi) > 0``, up to a
+    ceiling.  Bisection then narrows the bracket until its ends are
+    adjacent floats, and the end with the smaller ``|F|`` is returned;
+    :class:`RootBracketError` is raised if that ``|F|`` exceeds the fit
+    tolerance.
     """
     case = classify_case(data)
     if case not in (ProblemCase.INCREASING, ProblemCase.DECREASING_COVERED):
@@ -268,24 +267,19 @@ def fit_model(data: BoundaryData) -> ModelParams:
         return compatibility(data, m)
 
     # Invariant once bracketed: F(lo) <= 0 < F(hi).
-    lo = hi = max(1.0, al * al, be * be)
-    f_lo = f_hi = F(lo)
+    lo, f_lo = 0.0, F(0.0)
+    if abs(f_lo) <= ftol:
+        return _build_params(data, 0.0)
     if f_lo > 0:
-        f_zero = F(0.0)
-        if abs(f_zero) <= ftol:
-            return _build_params(data, 0.0)
-        if f_zero > 0:
-            raise RootBracketError("compatibility has no sign change down to m = 0")
-        while f_lo > 0:  # ends at the latest at lo = 0.0, where F < 0
-            lo, hi, f_hi = 0.5 * lo, lo, f_lo
-            f_lo = F(lo)
-    else:
-        while f_hi <= 0:
-            if hi > _BRACKET_CEILING:
-                raise RootBracketError("compatibility stayed nonpositive up to the "
-                                       f"bracket ceiling {_BRACKET_CEILING:g}")
-            lo, f_lo, hi = hi, f_hi, 2.0 * hi
-            f_hi = F(hi)
+        raise RootBracketError("compatibility has no sign change down to m = 0")
+    hi = max(1.0, al * al, be * be)
+    f_hi = F(hi)
+    while f_hi <= 0:
+        if hi > _BRACKET_CEILING:
+            raise RootBracketError("compatibility stayed nonpositive up to the "
+                                   f"bracket ceiling {_BRACKET_CEILING:g}")
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        f_hi = F(hi)
 
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
@@ -363,15 +357,14 @@ def refined_k_at(params: ModelParams, r):
 
 def degenerate_band(params: ModelParams, r, cutoff: float = 0.0):
     """True where ``|M - r^2| <= SINGULAR_CUTOFF * max(1, M)`` (the refined
-    weights are singular there) or, for ``M > 0``, ``|r - sqrt(M)| <= cutoff *
-    sqrt(M)``: the band around the level where the model gradient vanishes."""
+    weights are singular there) or ``|r - sqrt(M)| <= cutoff * sqrt(M)``: the
+    band around the level where the model gradient vanishes, which holds for
+    no positive ``r`` at ``M = 0``."""
     arr = np.asarray(r, dtype=float)
     M = params.M
-    band = np.abs(M - arr * arr) <= SINGULAR_CUTOFF * max(1.0, M)
-    if M > 0:
-        rt = math.sqrt(M)
-        band |= np.abs(arr - rt) <= cutoff * rt
-    return band
+    rt = math.sqrt(M)
+    return ((np.abs(M - arr * arr) <= SINGULAR_CUTOFF * max(1.0, M))
+            | (np.abs(arr - rt) <= cutoff * rt))
 
 
 def _singular_guard(params: ModelParams, arr):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -481,18 +481,15 @@ class MmsResult:
         return f"order_linf={self.order_linf:.3f} order_l2={self.order_l2:.3f}"
 
 
-def mms_convergence(spec: DomainSpec, exact: Union[ManufacturedField, ModelParams],
-                    sizes: Sequence[int],
+def mms_convergence(spec: DomainSpec, exact: ManufacturedField, sizes: Sequence[int],
                     options: Optional[SolveOptions] = None) -> MmsResult:
-    """Manufactured-solution convergence study on square grids.
+    """Convergence study of the manufactured field ``exact`` on square grids.
 
     Each entry of ``sizes``, of which at least two must differ, is used for
     both grid directions.  Errors below 1e-12 relative to the field magnitude
     are reported as ``exact`` with no fitted order; otherwise the slopes of
     log-error against log-h are fitted by least squares for both norms.
     """
-    if isinstance(exact, ModelParams):
-        exact = manufactured_field("model", exact)
     sizes = [int(n) for n in sizes]
     if len(set(sizes)) < 2:  # one log h would leave the fitted order arbitrary
         raise InvalidInputError("mms needs at least two distinct grid sizes")

@@ -230,6 +230,8 @@ class TestVerify:
     @pytest.mark.parametrize("domain", [
         {"inner": {"c0": 1.5e308, "cos": [0.5e308]}, "outer": {"c0": 1.6e308, "cos": [0.5e308]}},
         {"inner": {"c0": 1e200}, "outer": {"c0": 2e200}},
+        # the Jacobian stays finite here, but the speed and the stencil square r
+        {"inner": {"c0": 1e155}, "outer": {"c0": 1.00001e155}},
     ])
     def test_overflowing_domain_exits_2(self, tmp_path, domain, run_main):
         cfg = write_cfg(tmp_path, "verify.json", {
@@ -432,6 +434,19 @@ class TestEntryPoint:
         for sub in ("fit", "solve", "verify", "sweep", "mms"):
             assert sub in proc.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--ns", "3", "--ntheta", "2"],  # sizes below build_grid's minimum
+        ["mms", "--ns", "17"],  # mms reads its sizes from the config
+    ], ids=["fit", "mms"])
+    def test_unread_override_exits_2(self, tmp_path, argv, capsys):
+        cfg = write_cfg(tmp_path, "a.json", {**MODEL_A, "mms": {"sizes": [17, 33]}})
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], cfg, *argv[1:]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     @pytest.mark.parametrize("command, key", [
         ("solve", "field"), ("verify", "report"), ("sweep", "csv"), ("mms", "csv"),
     ])
@@ -501,11 +516,48 @@ _FUZZED_KEY = st.sampled_from(sorted(_FUZZ_BASE)).flatmap(
     lambda key: st.tuples(st.just(key), _JSON | _one_entry_replaced(_FUZZ_BASE[key])))
 
 
+def _large_grid_sizes(cfg):
+    """Grid sizes above 129 that a config asks for past the ``--ns``/``--ntheta``
+    overrides: the values of an ``ns`` or ``ntheta`` sweep and the mms sizes."""
+    sizes = []
+    sweep, mms = cfg.get("sweep"), cfg.get("mms")
+    if isinstance(sweep, dict) and sweep.get("parameter") in ("ns", "ntheta"):
+        sizes.append(sweep.get("values"))
+    if isinstance(mms, dict):
+        sizes.append(mms.get("sizes", [129]))
+    return [v for vs in sizes if isinstance(vs, list) for v in vs
+            if isinstance(v, (int, float)) and not isinstance(v, bool) and v > 129]
+
+
+def _run_fuzzed(tmp_path_factory, command, key_value, *flags):
+    """``cli.main`` on the base config with one key fuzzed, in a work directory.
+
+    Output paths are relative to the working directory; examples that point
+    them outside it, or that ask for a grid above 129 nodes a side, are
+    skipped."""
+    key, value = key_value
+    cfg = {**_FUZZ_BASE, key: value}
+    paths = value.values() if key == "output" and isinstance(value, dict) else ()
+    assume(not any(isinstance(p, str) and (os.path.isabs(p) or ".." in p) for p in paths))
+    assume(not _large_grid_sizes(cfg))
+    work = tmp_path_factory.getbasetemp() / f"{command}-fuzz"
+    work.mkdir(exist_ok=True)
+    path = work / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        return cli.main([command, str(path), *flags])
+    finally:
+        os.chdir(cwd)
+
+
 class TestConfigFuzz:
     """Random JSON in one key of a valid config never escapes as a traceback.
 
-    Runs ``fit``, which reads the whole config but builds no grid, and
-    ``verify`` on a 17x16 grid, in-process.
+    Runs each subcommand in-process: ``fit``, which reads the whole config but
+    builds no grid, and ``solve``, ``verify``, ``sweep`` and ``mms`` on the
+    17x16 base config.  Only ``verify`` gates checks, so only it may exit 1.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -519,19 +571,15 @@ class TestConfigFuzz:
     @settings(max_examples=200, deadline=None)
     @given(key_value=_FUZZED_KEY)
     def test_verify_exits_with_a_code(self, tmp_path_factory, key_value):
-        key, value = key_value
-        # output paths are relative to the working directory; keep them inside it
-        paths = value.values() if key == "output" and isinstance(value, dict) else ()
-        assume(not any(isinstance(p, str) and (os.path.isabs(p) or ".." in p)
-                       for p in paths))
-        work = tmp_path_factory.getbasetemp() / "verify-fuzz"
-        work.mkdir(exist_ok=True)
-        path = work / "fuzz.json"
-        path.write_text(json.dumps({**_FUZZ_BASE, key: value}))
-        cwd = os.getcwd()
-        os.chdir(work)
-        try:
-            code = cli.main(["verify", str(path), "--ns", "17", "--ntheta", "16"])
-        finally:
-            os.chdir(cwd)
+        code = _run_fuzzed(tmp_path_factory, "verify", key_value, "--ns", "17", "--ntheta", "16")
         assert code in (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--ns", "17", "--ntheta", "16"]),
+        ("sweep", ["--ns", "17", "--ntheta", "16"]),
+        ("mms", []),  # its sizes come from the config's mms block
+    ], ids=["solve", "sweep", "mms"])
+    @settings(max_examples=100, deadline=None)
+    @given(key_value=_FUZZED_KEY)
+    def test_exits_with_a_code(self, tmp_path_factory, command, flags, key_value):
+        assert _run_fuzzed(tmp_path_factory, command, key_value, *flags) in (0, 2, 3, 4)

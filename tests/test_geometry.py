@@ -59,6 +59,13 @@ class TestFourierCurve:
             FourierCurve(c0=1.5e308, cos_coeffs=(0.5e308,))
         with pytest.raises(InvalidDomainError):
             FourierCurve(c0=1.0, sin_coeffs=(1e308,) * 2)
+        # the speed and the solver's stencil square the radius and its
+        # derivative: rho^2, then rho'^2, overflows although rho is finite
+        with pytest.raises(InvalidDomainError):
+            FourierCurve(c0=1e155)
+        with pytest.raises(InvalidDomainError):
+            FourierCurve(c0=1e153, cos_coeffs=(0.0,) * 15 + (0.9e153,))
+        assert FourierCurve(c0=1e154).speed(0.0) == pytest.approx(1e154)
 
     def test_point_and_speed(self):
         c = WAVY
@@ -179,7 +186,8 @@ class TestGrid:
             build_grid(spec, 9, size)
 
     def test_overflowing_jacobian_rejected(self):
-        # r * r_s overflows to inf although both radii are finite
+        # r * r_s would overflow to inf although both radii are finite; the
+        # curves' own bound check, which bounds r * r_s too, rejects them first
         with pytest.raises(InvalidDomainError):
             build_grid(DomainSpec.circles(1e200, 2e200), 9, 16)
 

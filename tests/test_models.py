@@ -194,6 +194,19 @@ class TestCompatibility:
             compatibility(data_a, -1.0)
 
 
+def _fit_counting_calls(data):
+    """``fit_model(data)`` and the ``m`` of each ``compatibility`` call it made."""
+    calls = []
+
+    def counting(d, m):
+        calls.append(m)
+        return compatibility(d, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models_module, "compatibility", counting)
+        return fit_model(data), calls
+
+
 class TestFit:
     def test_recovers_reference_models(self, model_a, model_b, model_c, model_d):
         for p in (model_a, model_b, model_c, model_d):
@@ -203,18 +216,19 @@ class TestFit:
             assert q.r_o == pytest.approx(p.r_o, rel=1e-7)
             assert q.L == pytest.approx(p.L, rel=1e-7, abs=1e-9)
 
-    def test_m_zero_model_fits_exactly(self, monkeypatch, model_b):
-        # F(0) is read first on the way down, so an M = 0 model fits to 0.0
-        calls = []
-
-        def counting(data, m):
-            calls.append(m)
-            return compatibility(data, m)
-
-        monkeypatch.setattr(models_module, "compatibility", counting)
-        q = fit_model(boundary_data_of(model_b))
+    def test_m_zero_model_fits_exactly(self, model_b):
+        # every fit reads F(0) first, so an M = 0 model fits to 0.0 in one call
+        q, calls = _fit_counting_calls(boundary_data_of(model_b))
         assert q.M == 0.0
-        assert len(calls) <= 3
+        assert calls == [0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           gen=st.sampled_from([random_increasing, random_decreasing]))
+    def test_first_call_at_zero(self, seed, gen):
+        # one bracket path: lo = 0 for every covered fit
+        _, calls = _fit_counting_calls(boundary_data_of(gen(np.random.default_rng(seed))))
+        assert calls[0] == 0.0
 
     def test_outer_zero_slope_model(self):
         # beta = 0 exactly when r_o = sqrt(M)

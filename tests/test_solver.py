@@ -336,11 +336,6 @@ class TestMms:
                               [17, 33, 65])
         assert res.order_linf == pytest.approx(2.0, abs=0.3)
 
-    def test_params_shorthand(self, model_a):
-        spec = DomainSpec.circles(model_a.r_i, model_a.r_o)
-        res = mms_convergence(spec, model_a, [17, 33])
-        assert res.linf[0] > 0
-
     def test_validation(self, model_a):
         spec = DomainSpec.circles(1.0, 2.0)
         with pytest.raises(InvalidInputError):
