@@ -345,12 +345,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="treat Neumann constancy failures as expected")
             p.add_argument("--timings", action="store_true",
                            help="print the report's stage timings and solver statistics")
-        p.set_defaults(func=func, ns=None, ntheta=None, eps=None)
+        p.set_defaults(func=func, parser=p, ns=None, ntheta=None, eps=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:  # a flag the subcommand does not take: show that subcommand's usage
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except SerrinError as e:

@@ -303,8 +303,7 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     r, _, r_s = blend_map(spec, s, theta)
     x = r * np.cos(theta)[None, :]
     y = r * np.sin(theta)[None, :]
-    with np.errstate(over="ignore"):
-        jac = r * r_s
+    jac = r * r_s
     if not np.all(np.isfinite(jac) & (jac > 0)):
         raise InvalidDomainError("grid Jacobian is not positive and finite")
 

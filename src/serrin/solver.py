@@ -18,10 +18,13 @@ The system is solved by restarted GMRES (Saad & Schultz 1986), preconditioned
 on the right by the exact inverse of a theta-averaged operator: each
 equation is first scaled so that its theta column has unit mean diagonal,
 then each of the nine stencil coefficients is replaced by its mean over
-theta.  That operator is circulant in theta, so an FFT in theta splits it
-into one tridiagonal system in s per Fourier mode -- the fast Poisson solver
-on circles (Hockney 1965; Buzbee, Golub & Nielson 1970), used here as a
-separable preconditioner (Concus & Golub 1973).  On circles the metric
+theta.  That operator is circulant in theta, so a real DFT in theta splits
+it into one tridiagonal system in s per Fourier mode -- the fast Poisson
+solver on circles (Hockney 1965; Buzbee, Golub & Nielson 1970), used here as
+a separable preconditioner (Concus & Golub 1973).  The DFT is numpy's FFT,
+or a dense matrix product where ntheta has a large prime factor (257, 129 =
+3 * 43), at which the FFT falls back to Bluestein's slower algorithm; the
+choice depends on ntheta alone.  On circles the metric
 coefficients depend on s alone and the mixed terms vanish, so the
 preconditioner is the operator itself and GMRES stops after one iteration.
 Without the scaling the average would be dominated by the narrowest part of
@@ -195,29 +198,72 @@ def _apply(stencil, u: np.ndarray) -> np.ndarray:
                for (di, dj), coef in stencil.items())
 
 
+def _dense_dft(nt: int) -> Optional[np.ndarray]:
+    """The real ``(nt, 2 m)`` matrix ``D`` of the length-``nt`` real DFT,
+    ``m = nt // 2 + 1``, or None where ``numpy.fft`` is the faster transform.
+
+    ``(x @ D).view(complex)`` is ``numpy.fft.rfft(x, axis=1)`` and
+    ``x_hat.view(float) @ D.T`` is ``numpy.fft.irfft(x_hat, nt, axis=1)``
+    without its per-mode weights: ``1 / nt`` on mode 0 and on the Nyquist
+    mode of an even ``nt``, ``2 / nt`` on the paired modes.  Column ``2 k``
+    holds ``cos(2 pi j k / nt)`` and column ``2 k + 1`` ``-sin(2 pi j k /
+    nt)``, both read from one table of the ``nt`` roots of unity at ``j k mod
+    nt``; the Nyquist sine column is exactly 0, so, as in ``irfft``, the
+    imaginary part of that mode is ignored.
+
+    pocketfft costs ``O(nt log nt)`` only for lengths with small prime
+    factors: a length with a large prime factor ``p`` goes through
+    Bluestein's chirp-z algorithm, at several times the cost.  A dense
+    product costs ``O(nt^2)`` but runs at BLAS speed.  Timed with one BLAS
+    thread, the dense pair was the faster one at 65 = 5 * 13, 129 = 3 * 43,
+    257, 401 and 449, and the slower one at 128, 256, 289 = 17^2, 301 = 7 *
+    43, 513 = 3^3 * 19 and 1025; ``nt <= 5 p`` and ``nt <= 450`` separate
+    the two sets.
+    """
+    # Trial division: p is the largest factor divided out, n what is left (1
+    # or a prime), so the largest prime factor is max(p, n).
+    n, p = nt, 1
+    for f in range(2, int(nt**0.5) + 1):
+        while n % f == 0:
+            n, p = n // f, f
+    if nt > min(5 * max(p, n), 450):
+        return None
+    q = np.arange(nt)
+    dft = np.exp(-2j * np.pi / nt * q)[np.outer(q, q[:nt // 2 + 1]) % nt].view(float)
+    if nt % 2 == 0:
+        dft[:, -1] = 0.0
+    return dft
+
+
 def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of ``W^-1 avg(W L)``, as a function of a flattened
     interior vector: ``L`` is the operator of ``stencil``, ``W`` scales the
     equations of theta column ``j`` by one over the mean magnitude of their
     diagonal, and ``avg`` replaces each coefficient by its mean over theta.
 
-    ``avg(W L)`` is circulant in theta.  With ``numpy.fft.rfft`` along
-    theta, a shift by ``dj`` nodes multiplies mode ``k`` by
-    ``omega_k**dj``, ``omega_k = exp(2 pi i k / ntheta)``, which leaves one
-    tridiagonal system in s per mode.  Its three bands are kept as
-    ``(n_in, modes)`` arrays, the layout ``rfft`` returns, and all modes are
-    eliminated together, each row operation vectorised over the modes:
-    Gaussian elimination without pivoting (Golub & Van Loan, Matrix
-    Computations, 4.3) factors the bands once, and each application makes
-    one forward and one backward sweep over the rows.  A zero or non-finite
-    pivot raises :class:`SolverFailureError`.
+    ``avg(W L)`` is circulant in theta.  With the real DFT along theta, a
+    shift by ``dj`` nodes multiplies mode ``k`` by ``omega_k**dj``,
+    ``omega_k = exp(2 pi i k / ntheta)``, which leaves one tridiagonal
+    system in s per mode.  The transform is chosen once, from ``ntheta``
+    alone (:func:`_dense_dft`): ``numpy.fft.rfft``/``irfft``, or one dense
+    matrix product each way where ``ntheta`` has a large prime factor; the
+    dense inverse leaves out ``irfft``'s per-mode weights, which are folded
+    into the pivots, since a per-mode scale commutes with the per-mode
+    elimination.  The three bands are kept as ``(n_in, modes)`` arrays, the
+    layout ``rfft`` returns, and all modes are eliminated together, each row
+    operation vectorised over the modes: Gaussian elimination without
+    pivoting (Golub & Van Loan, Matrix Computations, 4.3) factors the bands
+    once, and each application makes one forward and one backward sweep
+    over the rows.  A zero or non-finite pivot raises
+    :class:`SolverFailureError`.
     """
     n_in, nt = stencil[0, 0].shape
     diag = np.abs(stencil[0, 0]).mean(axis=0)
     if not np.all(diag > 0):
         raise SolverFailureError("the theta-averaged preconditioner is singular")
     w = 1.0 / diag
-    omega = np.exp(2j * np.pi * np.arange(nt // 2 + 1) / nt)
+    modes = np.arange(nt // 2 + 1)
+    omega = np.exp(2j * np.pi * modes / nt)
     # Row i of band di multiplies row i + di of the unknowns; the first and
     # last interior rows couple to the Dirichlet rows, which are eliminated
     # into the right-hand side, so lower[0] and upper[-1] are never read.
@@ -232,19 +278,24 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     if not np.all(np.isfinite(inv_pivot) & (pivot != 0)):
         raise SolverFailureError("the theta-averaged preconditioner is singular")
     upper *= inv_pivot
+    dft = _dense_dft(nt)
+    if dft is not None:  # irfft's per-mode weights, which the dense inverse leaves out
+        inv_pivot *= np.where((modes == 0) | (2 * modes == nt), 1.0, 2.0) / nt
     # Row views, so that each step of a sweep is one multiply and one
     # in-place subtract.
     lower_rows, upper_rows = list(lower), list(upper)
 
     def apply(r):
-        x_hat = np.fft.rfft(r.reshape(n_in, nt) * w, axis=1)
+        rw = r.reshape(n_in, nt) * w
+        x_hat = np.fft.rfft(rw, axis=1) if dft is None else (rw @ dft).view(complex)
         rows = list(x_hat)
         for lo, prev, row in zip(lower_rows[1:], rows, rows[1:]):
             row -= lo * prev
         x_hat *= inv_pivot
         for up, nxt, row in zip(upper_rows[-2::-1], rows[::-1], rows[-2::-1]):
             row -= up * nxt
-        return np.fft.irfft(x_hat, n=nt, axis=1).ravel()
+        x = np.fft.irfft(x_hat, n=nt, axis=1) if dft is None else x_hat.view(float) @ dft.T
+        return x.ravel()
 
     return apply
 
@@ -367,10 +418,13 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     t0 = time.perf_counter()
     stencil = _stencil(grid)
     # The Dirichlet rows are eliminated: their stencil terms move to the
-    # right-hand side, and the operator sees zero boundary rows.
-    values = np.zeros((ns, nt))
-    values[0], values[-1] = a_arr, b_arr
-    rhs = (grid.jac[1:-1] * f - _apply(stencil, values)).ravel()
+    # right-hand side, and the operator sees zero boundary rows.  The
+    # boundary array is dropped before the iteration, and the solution array
+    # is made after it, so that neither is held alongside the Krylov basis.
+    boundary = np.zeros((ns, nt))
+    boundary[0], boundary[-1] = a_arr, b_arr
+    rhs = (grid.jac[1:-1] * f - _apply(stencil, boundary)).ravel()
+    del boundary
 
     def operator(x):
         return _apply(stencil, np.pad(x.reshape(ns - 2, nt), ((1, 1), (0, 0)))).ravel()
@@ -381,7 +435,7 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     x, residual, history = _gmres(operator, precondition, rhs, opts.tol)
     t3 = time.perf_counter()
 
-    values[1:-1] = x.reshape(ns - 2, nt)
+    values = np.vstack([a_arr, x.reshape(ns - 2, nt), b_arr])
     values.flags.writeable = False  # the field takes it over
     stats = SolveStats(unknowns=rhs.size, iterations=len(history), residual=residual,
                        seconds=t3 - t0, residuals=history + [residual], assemble_s=t1 - t0,

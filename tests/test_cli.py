@@ -446,6 +446,7 @@ class TestEntryPoint:
         out, err = capsys.readouterr()
         assert out == ""
         assert "unrecognized arguments" in err
+        assert f"usage: serrin {argv[0]}" in err
 
     @pytest.mark.parametrize("command, key", [
         ("solve", "field"), ("verify", "report"), ("sweep", "csv"), ("mms", "csv"),

@@ -234,16 +234,39 @@ def _dense_theta_averaged(stencil):
 class TestPreconditioner:
     # Diagonal dominance of the theta average is weakest on steep and on
     # nearly crossing boundaries, where the pivot-free sweep is most exposed.
-    @pytest.mark.parametrize("k, amp", [(16, 0.49), (2, 0.499)],
-                             ids=["cos16_steep", "cos2_near_crossing"])
-    def test_solves_the_dense_averaged_system(self, k, amp):
+    # ntheta = 16 transforms with the FFT, 17 with the dense DFT.
+    @pytest.mark.parametrize("k, amp, ntheta", [
+        (16, 0.49, 16), (2, 0.499, 16), (16, 0.49, 17), (2, 0.499, 17),
+    ], ids=["cos16_steep", "cos2_near_crossing", "cos16_steep_dense", "cos2_near_crossing_dense"])
+    def test_solves_the_dense_averaged_system(self, k, amp, ntheta):
         spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * (k - 1) + (amp,)),
                           outer=FourierCurve(c0=1.5))
-        stencil = solver_module._stencil(build_grid(spec, 17, 16))
-        r = np.random.default_rng(k).standard_normal(15 * 16)
+        stencil = solver_module._stencil(build_grid(spec, 17, ntheta))
+        r = np.random.default_rng(k).standard_normal(15 * ntheta)
         exact = np.linalg.solve(_dense_theta_averaged(stencil), r)
         got = solver_module._theta_averaged_inverse(stencil)(r)
         assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_dense_dft_is_chosen_by_size_and_matches_numpy_fft(self):
+        # Dense where ntheta <= min(5 p, 450), p its largest prime factor.
+        dense = {n for n in (17, 26, 33, 64, 65, 128, 129, 256, 257, 289, 301, 449, 513, 1025)
+                 if solver_module._dense_dft(n) is not None}
+        assert dense == {17, 26, 33, 65, 129, 257, 449}
+        rng = np.random.default_rng(0)
+        for nt in (17, 26):
+            dft, modes = solver_module._dense_dft(nt), np.arange(nt // 2 + 1)
+            x = rng.standard_normal((3, nt))
+            x_hat = rng.standard_normal((3, modes.size)) + 1j * rng.standard_normal((3, modes.size))
+            unpaired = (modes == 0) | (2 * modes == nt)
+            weights = np.where(unpaired, 1.0, 2.0) / nt
+            forward, rfft = (x @ dft).view(complex), np.fft.rfft(x, axis=1)
+            inverse, irfft = (x_hat * weights).view(float) @ dft.T, np.fft.irfft(x_hat, nt, axis=1)
+            assert np.linalg.norm(forward - rfft) <= 1e-13 * np.linalg.norm(rfft)
+            assert np.linalg.norm(inverse - irfft) <= 1e-13 * np.linalg.norm(irfft)
+            # As irfft does, the inverse ignores the imaginary parts of the
+            # unpaired modes exactly.
+            x_hat[:, unpaired] += 1j
+            assert np.array_equal((x_hat * weights).view(float) @ dft.T, inverse)
 
     def test_zero_pivot_raises_solver_failure(self):
         # Two rows whose averaged system is [[1, 1], [1, 1]] in every mode:
