@@ -45,11 +45,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-try:  # numpy's switch for its transparent-huge-page advice
-    from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import _set_madvise_hugepage
-
 from .errors import InvalidInputError, SolverFailureError
 from .geometry import CurvGrid, DomainSpec, blend_map, build_grid
 from .models import ModelParams, model_u
@@ -102,23 +97,19 @@ class SolveStats:
 class ScalarField:
     """Node values of a scalar quantity on a grid.
 
-    ``values`` is read-only and the field cannot be rebound, so the
-    quantities derived from it (:meth:`derived`) are computed once and never
-    go stale.  An array that is already read-only and owns its memory, as
-    :func:`solve_dirichlet` passes, is taken as it is; any other is copied,
-    so a caller's array is never frozen.
+    ``values`` is a read-only copy of the array given, and the field cannot
+    be rebound, so the quantities derived from it (:meth:`derived`) are
+    computed once and never go stale; a caller's array is never frozen.
     """
 
     grid: CurvGrid
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.ns, self.grid.ntheta):
             raise InvalidInputError("field values must be shaped (ns, ntheta)")
-        if values.flags.writeable or not values.flags.owndata:
-            values = values.copy()
-            values.flags.writeable = False
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_derived", {})
 
@@ -322,13 +313,7 @@ def _gmres(operator, precondition, rhs, tol):
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     eps = np.finfo(float).eps
     history = []
-    # numpy advises huge pages on arrays of 4 MiB or more, and the advice
-    # outlives the basis on the heap range malloc reuses for it: blocks put
-    # there later fault in 2 MiB at a time whenever the kernel has a huge page
-    # free, so resident memory would grow by steps that differ between runs.
-    advised = _set_madvise_hugepage(False)
     basis = np.empty((_RESTART + 1, rhs.size))
-    _set_madvise_hugepage(advised)
     x = np.zeros(rhs.size)
     r = rhs
     beta = float(np.linalg.norm(r))
@@ -436,7 +421,6 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     t3 = time.perf_counter()
 
     values = np.vstack([a_arr, x.reshape(ns - 2, nt), b_arr])
-    values.flags.writeable = False  # the field takes it over
     stats = SolveStats(unknowns=rhs.size, iterations=len(history), residual=residual,
                        seconds=t3 - t0, residuals=history + [residual], assemble_s=t1 - t0,
                        setup_s=t2 - t1, solve_s=t3 - t2)

@@ -374,8 +374,7 @@ def boundary_distance(grid: CurvGrid, which: str, rows=None):
     px = grid.x[rows].ravel()
     py = grid.y[rows].ravel()
     out = np.empty(px.size)
-    # (chunk, _DISTANCE_SAMPLES) temporaries of 2 MiB stay below the 4 MiB
-    # from which numpy advises huge pages, advice the heap range would keep.
+    # Chunks of nodes bound each (chunk, _DISTANCE_SAMPLES) temporary to 2 MiB.
     chunk = 32
     for start in range(0, px.size, chunk):
         sl = slice(start, start + chunk)

@@ -5,11 +5,13 @@ the entry point, the exit codes of a whole process and byte-identical reruns
 are tested on fresh ``python -m serrin.cli`` processes.
 """
 
+import ast
 import csv
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -482,6 +484,19 @@ class TestEntryPoint:
                 "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_private_numpy_imports(self):
+        # numpy.core and numpy._* are numpy's internals, renamed between releases.
+        imported = []
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported += [(path.name, a.name) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported += [(path.name, f"{node.module}.{a.name}") for a in node.names]
+        private = [(f, name) for f, name in imported
+                   if name == "numpy.core" or name.startswith(("numpy.core.", "numpy._"))]
+        assert imported and private == []
 
 
 # Words of the config schema, so that fuzzed objects often reach past the key checks.
