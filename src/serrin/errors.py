@@ -37,13 +37,13 @@ class UnsupportedRegimeError(SerrinError, ValueError):
     tells the unproven decreasing regime from outright inadmissible data.
     """
 
-    def __init__(self, message, case=None):
+    def __init__(self, message, case):
         super().__init__(message)
         self.case = case
 
     @property
     def exit_code(self):
-        return 2 if self.case is None else self.case.exit_code
+        return self.case.exit_code
 
 
 class RootBracketError(SerrinError, RuntimeError):

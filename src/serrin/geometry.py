@@ -135,13 +135,16 @@ class FourierCurve:
         den = (rho * rho + dp * dp) ** 1.5
         return num / den
 
-    def length(self, n: int = 8192) -> float:
-        """Arc length by the periodic trapezoid rule on ``n`` samples."""
+    def length(self) -> float:
+        """Arc length by the periodic trapezoid rule on 8192 samples."""
+        n = 8192
         th = np.arange(n) * (2 * np.pi / n)
         return float(np.sum(self.speed(th)) * (2 * np.pi / n))
 
-    def total_turning(self, n: int = 4096) -> float:
-        """Integral of curvature against arc length (2*pi for embedded curves)."""
+    def total_turning(self) -> float:
+        """Integral of curvature against arc length (2*pi for embedded curves),
+        by the periodic trapezoid rule on 4096 samples."""
+        n = 4096
         th = np.arange(n) * (2 * np.pi / n)
         return float(np.sum(self.curvature(th) * self.speed(th)) * (2 * np.pi / n))
 
@@ -242,7 +245,6 @@ class CurvGrid:
     ds: float
     dtheta: float
     theta: np.ndarray
-    r: np.ndarray
     x: np.ndarray
     y: np.ndarray
     jac: np.ndarray
@@ -315,7 +317,7 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     # curve's normal.
     return CurvGrid(
         spec=spec, ns=ns, ntheta=ntheta, ds=ds, dtheta=dtheta, theta=theta,
-        r=r, x=x, y=y, jac=jac, area_w=area_w,
+        x=x, y=y, jac=jac, area_w=area_w,
         arc_w=(spec.inner.speed(theta) * dtheta, spec.outer.speed(theta) * dtheta),
         normal=(-_normal(spec.inner, theta), _normal(spec.outer, theta)),
     )
@@ -331,9 +333,9 @@ def _normal(curve, theta):
     return np.stack([ty / norm, -tx / norm])
 
 
-def boundary_length(spec: DomainSpec, which: str, n: int = 8192) -> float:
+def boundary_length(spec: DomainSpec, which: str) -> float:
     """Arc length of one boundary component."""
-    return spec.curve(which).length(n)
+    return spec.curve(which).length()
 
 
 def region_areas(spec: DomainSpec):

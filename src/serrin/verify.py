@@ -63,8 +63,8 @@ TOLERANCES = {
 # Degenerate boundaries are detected by an arc-averaged |Neumann| below this.
 _DEGENERATE_NEUMANN = 1e-3
 
-# Default truncation half-width (relative to sqrt(M)) around the level where
-# the model gradient vanishes.
+# Truncation half-width (relative to sqrt(M)) around the level where the
+# model gradient vanishes; both identity checks use it.
 DEFAULT_TRUNCATION = 1e-4
 
 # Field values may leave the model's value range by this much (relative to
@@ -120,13 +120,13 @@ class NeumannStats:
     max_dev: float
 
 
-def neumann_constancy(values, weights=None) -> NeumannStats:
+def neumann_constancy(values, weights) -> NeumannStats:
     """Weighted mean, standard deviation and maximum deviation of a trace.
 
     Values and weights must be finite, the weights nonnegative with a
     positive sum; otherwise :class:`InvalidInputError` is raised."""
     vals = np.asarray(values, dtype=float)
-    w = np.ones_like(vals) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape != vals.shape or vals.size == 0:
         raise InvalidInputError("weights must match the trace values")
     total = float(np.sum(w))
@@ -149,8 +149,8 @@ def _neumann_stats(field: ScalarField):
 
 def _boundary_mean(field: ScalarField, which: str) -> float:
     """Arc-weighted mean of the field along one boundary row."""
-    w = field.grid.arc_weights(which)
-    return float(np.sum(field.values[field.grid.row(which)] * w) / np.sum(w))
+    grid = field.grid
+    return neumann_constancy(field.values[grid.row(which)], grid.arc_weights(which)).mean
 
 
 def measured_boundary_data(field: ScalarField) -> BoundaryData:
@@ -160,16 +160,15 @@ def measured_boundary_data(field: ScalarField) -> BoundaryData:
                         alpha=n_in.mean, beta=n_out.mean)
 
 
-def pohozaev_residual(field: ScalarField, data: Optional[BoundaryData] = None) -> float:
+def pohozaev_residual(field: ScalarField, data: BoundaryData) -> float:
     """Residual of the area balance
 
         integral(4u) = (4b + beta^2)|E_o| - (4a + alpha^2)|E_i|,
 
-    with |E_i|, |E_o| the areas enclosed by the two boundary curves.  When
-    ``data`` is omitted the boundary values are measured from the field.
+    with |E_i|, |E_o| the areas enclosed by the two boundary curves; pass
+    ``measured_boundary_data(field)`` to measure the boundary values from
+    the field.
     """
-    if data is None:
-        data = measured_boundary_data(field)
     ei, eo, _ = region_areas(field.grid.spec)
     lhs = integrate_area(field.grid, 4.0 * field.values)
     rhs = (4 * data.b + data.beta**2) * eo - (4 * data.a + data.alpha**2) * ei
@@ -231,8 +230,7 @@ class DivergenceIdentityResult:
     outer_limit_used: bool
 
 
-def divergence_identity_residual(field: ScalarField, params: ModelParams,
-                                 cutoff: float = DEFAULT_TRUNCATION
+def divergence_identity_residual(field: ScalarField, params: ModelParams
                                  ) -> DivergenceIdentityResult:
     """Divergence identity for increasing profiles.
 
@@ -243,16 +241,16 @@ def divergence_identity_residual(field: ScalarField, params: ModelParams,
             - integral_outer( |grad u| / (M - psi^2) ),
 
     whose boundary terms both equal 2 pi on the model annulus.  Nodes with
-    ``psi`` in the degenerate band (:func:`~serrin.models.degenerate_band`)
-    are excluded from the interior integral and counted.  When a boundary
-    radius lies in that band its term is replaced by the analytic limit
-    ``integral(1/psi)``.
+    ``psi`` in the degenerate band (:func:`~serrin.models.degenerate_band`
+    with cutoff :data:`DEFAULT_TRUNCATION`) are excluded from the interior
+    integral and counted.  When a boundary radius lies in that band its term
+    is replaced by the analytic limit ``integral(1/psi)``.
     """
     if params.case is not ProblemCase.INCREASING:
         raise UnsupportedRegimeError(
             "divergence identity applies to increasing profiles", case=params.case
         )
-    M, grid = params.M, field.grid
+    M, grid, cutoff = params.M, field.grid, DEFAULT_TRUNCATION
     psi, w, w0 = field.derived(_model_fields, params)
     keep = ~degenerate_band(params, psi, cutoff)
     integrand = np.zeros_like(psi)
@@ -294,14 +292,12 @@ class RefinedPohozaevResult:
     excluded_nodes: int
 
 
-def refined_pohozaev_check(field: ScalarField, params: ModelParams,
-                           k: Optional[float] = None,
-                           cutoff: float = DEFAULT_TRUNCATION
+def refined_pohozaev_check(field: ScalarField, params: ModelParams
                            ) -> RefinedPohozaevResult:
     """Refined integral identity for decreasing profiles.
 
-    With the weight density ``phi_dot`` built from constant ``k`` (defaults
-    to :func:`refined_k`), checks
+    With the weight density ``phi_dot`` built from the canonical constant
+    ``k = K(r_i)`` (:func:`~serrin.models.refined_k`), checks
 
         integral(4u) = integral(phi_dot (W - W0))
                        - alpha phi(r_i) |G_i| - beta phi(r_o) |G_o|,
@@ -314,16 +310,14 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams,
             - (M(4a + alpha^2 - 4L - M) + k)/2 * (|G_i|/r_i - |G_o|/r_o),
 
     which is nonnegative for genuine solutions.  Interior nodes in the
-    degenerate band (:func:`~serrin.models.degenerate_band`) are excluded
-    and counted.
+    degenerate band (:func:`~serrin.models.degenerate_band` with cutoff
+    :data:`DEFAULT_TRUNCATION`) are excluded and counted.
     """
     if params.case is not ProblemCase.DECREASING_COVERED:
         raise UnsupportedRegimeError(
             "refined identity applies to covered decreasing profiles", case=params.case
         )
-    k_ref = refined_k(params)
-    if k is None:
-        k = k_ref
+    k, cutoff = refined_k(params), DEFAULT_TRUNCATION
     M, ri, ro, grid = params.M, params.r_i, params.r_o, field.grid
     d = boundary_data_of(params)
     psi, w, w0 = field.derived(_model_fields, params)
@@ -337,7 +331,8 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams,
     # alpha*phi(r_i) and beta*phi(r_o) in closed form; the slope factor of
     # phi's singular part cancels against the boundary slope, with opposite
     # orientation on the two boundaries (M - r^2 = -alpha*r_i = +beta*r_o).
-    inner_term = li * (2 * d.a * d.alpha + (k - k_ref) / (2 * ri))
+    # With k = K(r_i) the inner term's (k - K(r_i)) / (2 r_i) vanishes.
+    inner_term = li * (2 * d.a * d.alpha)
     outer_term = lo * (2 * d.b * d.beta - (k - refined_k_at(params, ro)) / (2 * ro))
 
     int4u = integrate_area(grid, 4.0 * field.values)
@@ -357,16 +352,18 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams,
     )
 
 
-def boundary_distance(grid: CurvGrid, which: str, rows=None):
+def boundary_distance(grid: CurvGrid, which: str, rows):
     """Distance from grid nodes to one boundary curve.
 
     ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows,
-    each in ``[0, ns)`` (default all).  Distances are measured to a dense
-    sample of the curve; the sampling error is quadratic in the sample
-    spacing.  Returns an array shaped ``(len(rows), ntheta)``.
+    each in ``[0, ns)``.  Distances are measured to 8192 samples of the
+    curve, a chord length ``D`` apart, so they overestimate: by at most
+    about ``D^2 / (8 d)`` at distance ``d`` from the curve, which is
+    quadratic in ``D`` only away from it, and by up to ``D / 2`` on it.
+    Returns an array shaped ``(len(rows), ntheta)``.
     """
     curve = grid.spec.curve(which)
-    rows = np.arange(grid.ns) if rows is None else np.asarray(rows, dtype=int)
+    rows = np.asarray(rows, dtype=int)
     if np.any((rows < 0) | (rows >= grid.ns)):
         raise InvalidInputError(f"rows must lie in [0, {grid.ns})")
     th = np.arange(_DISTANCE_SAMPLES) * (2 * np.pi / _DISTANCE_SAMPLES)
@@ -416,9 +413,9 @@ def degenerate_expansion_check(field: ScalarField) -> Optional[ExpansionResult]:
     c = _boundary_mean(field, which)
     dist = boundary_distance(grid, which, rows)
     h = float(np.median(dist[np.abs(rows - row0) == 1]))
+    # never empty: h, the median of the adjacent row's distances, is one of
+    # them (odd ntheta) or the mean of two, the upper one in [h, 2h] (even)
     sel = (dist >= 0.999 * h) & (dist <= 10.001 * h)
-    if not np.any(sel):
-        return None
     du = field.values[rows][sel] - c
     d2 = dist[sel] ** 2
     coeff = float(np.sum(du * d2) / np.sum(d2 * d2))

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, asdict, astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from serrin import (
     BoundaryData,
@@ -70,7 +71,7 @@ class TestNeumannStats:
             neumann_constancy(np.array([1.0, 2.0]), np.array([1.0]))
 
     def test_constant_trace(self):
-        st = neumann_constancy(np.full(8, 3.0))
+        st = neumann_constancy(np.full(8, 3.0), np.ones(8))
         assert st.sd == 0.0
         assert st.mean == pytest.approx(3.0)
 
@@ -78,13 +79,13 @@ class TestNeumannStats:
         ([1.0, 2.0], [0.0, 0.0]),        # zero weight sum
         ([1.0, 2.0], [1.0, -1.0]),       # negative weight
         ([1.0, np.nan], [1.0, 1.0]),     # non-finite value
-        ([1.0, np.inf], None),
+        ([1.0, np.inf], [1.0, 1.0]),
         ([1.0, 2.0], [1.0, np.nan]),     # non-finite weight
         ([1.0, 2.0], [np.inf, 1.0]),
     ])
     def test_bad_input_rejected(self, values, weights):
         with pytest.raises(InvalidInputError):
-            neumann_constancy(np.array(values), None if weights is None else np.array(weights))
+            neumann_constancy(np.array(values), np.array(weights))
 
 
 class TestMeasuredData:
@@ -117,7 +118,7 @@ class TestPohozaev:
 
     def test_measured_data_variant(self, model_a):
         grid, field, _ = solved(model_a, 65, 64)
-        assert abs(pohozaev_residual(field)) <= 5e-3
+        assert abs(pohozaev_residual(field, measured_boundary_data(field))) <= 5e-3
 
 
 class TestGradientBound:
@@ -178,14 +179,10 @@ class TestDivergenceIdentity:
         # boundary term must switch to its analytic limit
         p = ModelParams(L=0.0, M=4.0, r_i=1.0, r_o=2.0 * (1 - 1e-6))
         grid, field, _ = solved(p, 65, 64)
-        residuals = []
-        for cutoff in (1e-3, 1e-4, 1e-5):
-            res = divergence_identity_residual(field, p, cutoff=cutoff)
-            residuals.append(res.residual)
-            assert res.outer_limit_used
-            assert res.excluded_nodes == 64
-        assert max(residuals) - min(residuals) <= 1e-9
-        assert abs(residuals[0]) <= 0.05
+        res = divergence_identity_residual(field, p)
+        assert res.outer_limit_used
+        assert res.excluded_nodes == 64
+        assert abs(res.residual) <= 0.05
 
 
 class TestRefinedIdentity:
@@ -197,13 +194,6 @@ class TestRefinedIdentity:
         assert abs(res.identity_residual) <= 2e-2
         assert res.case1_margin >= -2e-2
         assert res.k == pytest.approx(refined_k(p), rel=1e-13)
-
-    def test_free_constant_shift(self, model_c):
-        # the identity holds for any k; a unit shift must stay within gate
-        grid, field, _ = solved(model_c, 129, 128)
-        res = refined_pohozaev_check(field, model_c,
-                                     k=refined_k(model_c) + 1.0)
-        assert abs(res.identity_residual) <= 2e-2
 
     def test_degenerate_inner_row_excluded(self, model_d):
         grid, field, _ = solved(model_d, 129, 128)
@@ -220,9 +210,9 @@ class TestRefinedIdentity:
 class TestBoundaryDistance:
     def test_circle_distance_is_radial(self):
         grid = build_grid(DomainSpec.circles(1.0, 2.0), 17, 32)
-        d = boundary_distance(grid, "inner")
+        d = boundary_distance(grid, "inner", range(17))
         assert d.shape == (17, 32)
-        assert d == pytest.approx(grid.r - 1.0, abs=1e-6)
+        assert d == pytest.approx(np.hypot(grid.x, grid.y) - 1.0, abs=1e-6)
 
     def test_row_selection(self):
         grid = build_grid(DomainSpec.circles(1.0, 2.0), 17, 32)
@@ -230,7 +220,7 @@ class TestBoundaryDistance:
         assert d.shape == (1, 32)
         assert np.max(np.abs(d)) < 1e-6
         with pytest.raises(InvalidInputError):
-            boundary_distance(grid, "both")
+            boundary_distance(grid, "both", [0])
 
     @pytest.mark.parametrize("rows", [[-1], [17], [99], [0, 17]],
                              ids=["negative", "ns", "far", "one_of_two"])
@@ -243,13 +233,29 @@ class TestBoundaryDistance:
 class TestExpansion:
     def test_synthetic_quadratic(self):
         grid = build_grid(DomainSpec.circles(1.0, 2.0), 65, 64)
-        dist = boundary_distance(grid, "inner")
+        dist = boundary_distance(grid, "inner", range(65))
         field = ScalarField(grid=grid, values=5.0 - dist**2)
         res = degenerate_expansion_check(field)
         assert res is not None
         assert res.boundary == "inner"
         assert res.coefficient == pytest.approx(-1.0, abs=1e-12)
         assert res.n_nodes > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(ns=st.integers(17, 49), ntheta=st.integers(16, 65),
+           side=st.sampled_from(["inner", "outer"]), harmonic=st.integers(2, 4),
+           kind=st.sampled_from(["cos", "sin"]), amp=st.floats(0.0, 0.05))
+    def test_fit_nodes_never_empty(self, ns, ntheta, side, harmonic, kind, amp):
+        # the layer width h is the median of the adjacent row's distances, so
+        # [h, 10h] holds nodes for odd and even ntheta, on either side
+        coeffs = {f"{kind}_coeffs": (0.0,) * (harmonic - 1) + (amp,)}
+        spec = DomainSpec(inner=FourierCurve(c0=1.0, **coeffs), outer=FourierCurve(c0=2.0))
+        grid = build_grid(spec, ns, ntheta)
+        dist = boundary_distance(grid, side, range(ns))
+        res = degenerate_expansion_check(ScalarField(grid=grid, values=5.0 - dist**2))
+        assert res is not None
+        assert res.boundary == side
+        assert res.n_nodes >= 1
 
     def test_no_degenerate_boundary(self, model_a):
         grid, field, _ = solved(model_a, 33, 32)
