@@ -279,7 +279,7 @@ def cmd_sweep(args) -> int:
         try:
             report = full_report(p.domain(), p.data, p.ns, p.ntheta, p.options)
             return report.csv_row(eps=p.eps)
-        except Exception as e:  # recorded in-row; the sweep continues
+        except SerrinError as e:  # recorded in-row; the sweep continues
             return error_row(str(classify_case(p.data)), p.ns, p.ntheta, p.eps,
                              f"{type(e).__name__}: {e}")
 

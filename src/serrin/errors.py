@@ -68,6 +68,6 @@ class SolverFailureError(SerrinError, RuntimeError):
     ``residuals`` holds the relative residual history that was observed.
     """
 
-    def __init__(self, message, residuals=None):
+    def __init__(self, message, residuals=()):
         super().__init__(message)
-        self.residuals = list(residuals) if residuals is not None else []
+        self.residuals = list(residuals)

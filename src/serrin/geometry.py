@@ -22,7 +22,11 @@ import numpy as np
 from .errors import InvalidDomainError, InvalidInputError
 
 MAX_DEGREE = 16
-_VALIDATION_SAMPLES = 4096
+_VALIDATION_ANGLES = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+# d^k/dtheta^k of cos(n theta) and sin(n theta) is n^k * sign * f(n theta),
+# with (sign, f) entry k of these rows.
+_COS_DERIVATIVES = ((1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos))
+_SIN_DERIVATIVES = ((1.0, np.sin), (1.0, np.cos), (-1.0, np.sin))
 
 # The two boundary components, in grid-row order.
 SIDES = ("inner", "outer")
@@ -79,27 +83,17 @@ class FourierCurve:
         slope = sum(n * v for n, v in terms)
         if not math.isfinite(bound * bound + slope * slope):
             raise InvalidDomainError("curve speed can overflow: its coefficients are too large")
-        th = np.linspace(0.0, 2 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
-        if not np.all(self.radius(th) > 0):
+        if not np.all(self.radius(_VALIDATION_ANGLES) > 0):
             raise InvalidDomainError("curve radius must be positive for all angles")
 
     def _series(self, theta, order):
         th = np.asarray(theta, dtype=float)
         out = np.zeros_like(th)
-        for n, c in enumerate(self.cos_coeffs, start=1):
-            if order == 0:
-                out += c * np.cos(n * th)
-            elif order == 1:
-                out += -c * n * np.sin(n * th)
-            else:
-                out += -c * n * n * np.cos(n * th)
-        for n, s in enumerate(self.sin_coeffs, start=1):
-            if order == 0:
-                out += s * np.sin(n * th)
-            elif order == 1:
-                out += s * n * np.cos(n * th)
-            else:
-                out += -s * n * n * np.sin(n * th)
+        for coeffs, rules in ((self.cos_coeffs, _COS_DERIVATIVES),
+                              (self.sin_coeffs, _SIN_DERIVATIVES)):
+            sign, f = rules[order]
+            for n, v in enumerate(coeffs, start=1):
+                out += sign * v * n**order * f(n * th)
         return out
 
     def radius(self, theta):
@@ -192,8 +186,7 @@ class DomainSpec:
     outer: FourierCurve
 
     def __post_init__(self):
-        th = np.linspace(0.0, 2 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
-        gap = self.outer.radius(th) - self.inner.radius(th)
+        gap = self.outer.radius(_VALIDATION_ANGLES) - self.inner.radius(_VALIDATION_ANGLES)
         if not np.all(gap > 0):
             raise InvalidDomainError(
                 "outer curve must stay strictly outside the inner curve"
@@ -227,7 +220,7 @@ class DomainSpec:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvGrid:
     """Structured grid on a doubly connected domain.
 
@@ -236,7 +229,9 @@ class CurvGrid:
     along the periodic angle.  Carries node coordinates, area quadrature
     weights, and per-angle arc weights and outward unit normals on both
     boundaries (``arc_w`` and ``normal`` are :data:`SIDES`-ordered pairs,
-    read through :meth:`arc_weights` and :meth:`outward_normal`).
+    read through :meth:`arc_weights` and :meth:`outward_normal`).  The grid
+    cannot be rebound and :func:`build_grid` makes its arrays read-only, so
+    what a field derives from its grid never goes stale.
     """
 
     spec: DomainSpec
@@ -315,12 +310,12 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
 
     # The domain-outward normal on the inner boundary is the negative of the
     # curve's normal.
-    return CurvGrid(
-        spec=spec, ns=ns, ntheta=ntheta, ds=ds, dtheta=dtheta, theta=theta,
-        x=x, y=y, jac=jac, area_w=area_w,
-        arc_w=(spec.inner.speed(theta) * dtheta, spec.outer.speed(theta) * dtheta),
-        normal=(-_normal(spec.inner, theta), _normal(spec.outer, theta)),
-    )
+    arc_w = (spec.inner.speed(theta) * dtheta, spec.outer.speed(theta) * dtheta)
+    normal = (-_normal(spec.inner, theta), _normal(spec.outer, theta))
+    for arr in (theta, x, y, jac, area_w, *arc_w, *normal):
+        arr.flags.writeable = False
+    return CurvGrid(spec=spec, ns=ns, ntheta=ntheta, ds=ds, dtheta=dtheta, theta=theta,
+                    x=x, y=y, jac=jac, area_w=area_w, arc_w=arc_w, normal=normal)
 
 
 def _normal(curve, theta):

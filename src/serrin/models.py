@@ -342,7 +342,7 @@ def refined_k(params: ModelParams) -> float:
     the refined identity on decreasing models (see :func:`refined_k_at`)."""
     if params.case is not ProblemCase.DECREASING_COVERED:
         raise UnsupportedRegimeError(
-            "refined_k is defined for decreasing profiles only", case=params.case
+            "the refined identity applies to covered decreasing profiles", case=params.case
         )
     return float(refined_k_at(params, params.r_i))
 

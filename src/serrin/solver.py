@@ -57,9 +57,9 @@ _RESTART = 60
 _MAX_RESTARTS = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
-    """Linear-solver controls.
+    """Linear-solver controls, fixed at construction.
 
     ``tol`` is the relative residual the returned solution must satisfy,
     required to lie in (0, 1e-4).  It is checked on the true residual of the
@@ -249,19 +249,17 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     :class:`SolverFailureError`.
     """
     n_in, nt = stencil[0, 0].shape
-    diag = np.abs(stencil[0, 0]).mean(axis=0)
-    if not np.all(diag > 0):
-        raise SolverFailureError("the theta-averaged preconditioner is singular")
-    w = 1.0 / diag
     modes = np.arange(nt // 2 + 1)
     omega = np.exp(2j * np.pi * modes / nt)
-    # Row i of band di multiplies row i + di of the unknowns; the first and
-    # last interior rows couple to the Dirichlet rows, which are eliminated
-    # into the right-hand side, so lower[0] and upper[-1] are never read.
-    lower, pivot, upper = (sum((coef * w).mean(axis=1)[:, None] * omega ** dj
-                               for (d, dj), coef in stencil.items() if d == di)
-                           for di in (-1, 0, 1))
     with np.errstate(all="ignore"):
+        # A column with a zero diagonal makes w, and so every pivot, non-finite.
+        w = 1.0 / np.abs(stencil[0, 0]).mean(axis=0)
+        # Row i of band di multiplies row i + di of the unknowns; the first and
+        # last interior rows couple to the Dirichlet rows, which are eliminated
+        # into the right-hand side, so lower[0] and upper[-1] are never read.
+        lower, pivot, upper = (sum((coef * w).mean(axis=1)[:, None] * omega ** dj
+                                   for (d, dj), coef in stencil.items() if d == di)
+                               for di in (-1, 0, 1))
         for i in range(1, n_in):
             lower[i] /= pivot[i - 1]
             pivot[i] -= lower[i] * upper[i - 1]
@@ -310,13 +308,14 @@ def _gmres(operator, precondition, rhs, tol):
     ``_MAX_RESTARTS`` spent cycles raise :class:`SolverFailureError` carrying
     ``history`` followed by the last true residual.
     """
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    with np.errstate(over="ignore"):  # an overflowing norm fails below as a nan residual
+        beta = float(np.linalg.norm(rhs))
+    scale = max(beta, 1e-300)
     eps = np.finfo(float).eps
     history = []
     basis = np.empty((_RESTART + 1, rhs.size))
     x = np.zeros(rhs.size)
     r = rhs
-    beta = float(np.linalg.norm(r))
     residual = beta / scale
     cycles, breakdown = 0, False
     while not residual <= tol:
@@ -482,15 +481,13 @@ def manufactured_field(kind: str, params: Optional[ModelParams] = None) -> Manuf
     ``saddle`` (model plus the harmonic x^2 - y^2, needs ``params``),
     ``linear`` (u = x, zero right-hand side) or ``constant``.
     """
+    if kind in ("model", "saddle") and params is None:
+        raise InvalidInputError(f"kind {kind!r} needs model parameters")
     if kind == "model":
-        if params is None:
-            raise InvalidInputError("kind 'model' needs model parameters")
         return ManufacturedField(
             "model", lambda x, y, p=params: model_u(p, np.hypot(x, y)), -2.0
         )
     if kind == "saddle":
-        if params is None:
-            raise InvalidInputError("kind 'saddle' needs model parameters")
         return ManufacturedField(
             "saddle",
             lambda x, y, p=params: x * x - y * y + model_u(p, np.hypot(x, y)),
@@ -567,8 +564,9 @@ def write_field(field: ScalarField, path) -> None:
 def read_field(path):
     """Read a field file; returns ``(meta, values)`` with values (ns, ntheta).
 
-    Raises :class:`InvalidInputError` unless the file parses and its rows list
-    every node exactly once, in the row-major order :func:`write_field` uses.
+    Raises :class:`InvalidInputError` unless the file parses, every number in
+    it is finite and its rows list every node exactly once, in the row-major
+    order :func:`write_field` uses.
     """
     try:
         with open(path) as fh:
@@ -580,6 +578,8 @@ def read_field(path):
         raise InvalidInputError(f"field file does not parse: {e}") from None
     if ns < 1 or ntheta < 1 or table.shape != (ns * ntheta, 5):
         raise InvalidInputError("field file row count does not match header")
+    if not np.all(np.isfinite(table)):
+        raise InvalidInputError("field file holds a non-finite number")
     cols = np.ascontiguousarray(table.T).reshape(5, ns, ntheta)
     if not np.array_equal(cols[:2], np.indices((ns, ntheta))):
         raise InvalidInputError("field file rows are not the nodes in row-major order")

@@ -313,10 +313,6 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams
     degenerate band (:func:`~serrin.models.degenerate_band` with cutoff
     :data:`DEFAULT_TRUNCATION`) are excluded and counted.
     """
-    if params.case is not ProblemCase.DECREASING_COVERED:
-        raise UnsupportedRegimeError(
-            "refined identity applies to covered decreasing profiles", case=params.case
-        )
     k, cutoff = refined_k(params), DEFAULT_TRUNCATION
     M, ri, ro, grid = params.M, params.r_i, params.r_o, field.grid
     d = boundary_data_of(params)

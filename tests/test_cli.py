@@ -243,6 +243,17 @@ class TestVerify:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    def test_overflowing_residual_norm_exits_4(self, tmp_path, run_main):
+        # The data are finite, but the residual norm squares them past the
+        # float range: a failed solve, not an overflow warning.
+        cfg = write_cfg(tmp_path, "verify.json", {
+            "model_params": {"L": 1e152, "M": 4.0, "r_i": 1.0, "r_o": 1.5},
+            "resolution": {"ns": 17, "ntheta": 16},
+        })
+        proc = run_main("verify", cfg)
+        assert proc.returncode == 4
+        assert "relative residual nan" in proc.stderr
+
     def test_large_constant_is_no_numerical_failure(self, tmp_path, run_main):
         # k is K(r_i), which does not read L; the verdict itself is not pinned
         cfg = write_cfg(tmp_path, "verify.json", {
@@ -349,6 +360,17 @@ class TestSweep:
         assert all(len(row) == len(CSV_COLUMNS) for row in rows)
         assert rows[1][-1] == ""
         assert rows[2][-1].startswith(error)
+
+    def test_program_error_is_not_a_row(self, tmp_path, monkeypatch):
+        # only a SerrinError of one point lands in its row; a bug propagates
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a property of the sweep point")
+
+        monkeypatch.setattr(cli, "full_report", broken)
+        cfg = write_cfg(tmp_path, "sweep.json", self.payload(tmp_path))
+        with pytest.raises(TypeError, match="a bug"):
+            cli.main(["sweep", cfg])
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("case", ["harmonic_17", "no_domain", "crossing_ns"])
     def test_config_error_exits_before_rows(self, tmp_path, case, run_main):

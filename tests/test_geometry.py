@@ -1,5 +1,6 @@
 """Tests for Fourier boundary curves, domain specs and the blended grid."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -43,6 +44,25 @@ class TestFourierCurve:
         fd2 = (c.radius(th + h) - 2 * c.radius(th) + c.radius(th - h)) / h**2
         assert c.radius_prime(th) == pytest.approx(fd1, abs=1e-8)
         assert c.radius_second(th) == pytest.approx(fd2, abs=1e-3)
+
+    def test_series_terms_in_closed_form(self):
+        # radius and radius_prime add the cos terms, then the sin terms, each
+        # as (+-coefficient * n) * f(n theta), so they match these sums bit
+        # for bit; radius_second may differ in its last bits.
+        c = FourierCurve(c0=1.0, cos_coeffs=(0.1, -0.03, 0.02), sin_coeffs=(0.05, 0.0, -0.01, 0.004))
+        th = np.linspace(-3.0, 9.0, 301)
+        r, dr, ddr = np.zeros_like(th), np.zeros_like(th), np.zeros_like(th)
+        for n, v in enumerate(c.cos_coeffs, start=1):
+            r += v * np.cos(n * th)
+            dr += -v * n * np.sin(n * th)
+            ddr += -v * n * n * np.cos(n * th)
+        for n, v in enumerate(c.sin_coeffs, start=1):
+            r += v * np.sin(n * th)
+            dr += v * n * np.cos(n * th)
+            ddr += -v * n * n * np.sin(n * th)
+        assert np.array_equal(c.radius(th), 1.0 + r)
+        assert np.array_equal(c.radius_prime(th), dr)
+        assert c.radius_second(th) == pytest.approx(ddr, rel=1e-14, abs=1e-15)
 
     def test_degree_cap(self):
         with pytest.raises(InvalidDomainError):
@@ -200,6 +220,18 @@ class TestGrid:
         assert integrate_area(g, np.ones_like(g.x)) == pytest.approx(
             omega, rel=1e-12
         )
+
+    def test_integrate_area_rejects_wrong_shape(self):
+        g = build_grid(wavy_domain(), 17, 48)
+        with pytest.raises(InvalidInputError, match="does not match grid"):
+            integrate_area(g, np.ones((17, 47)))
+
+    def test_frozen_with_read_only_arrays(self):
+        g = build_grid(wavy_domain(), 9, 16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.ns = 17
+        arrays = [g.theta, g.x, g.y, g.jac, g.area_w, *g.arc_w, *g.normal]
+        assert not any(arr.flags.writeable for arr in arrays)
 
     def test_region_areas_frozen(self):
         e_i, e_o, omega = region_areas(wavy_domain())

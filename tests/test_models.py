@@ -193,6 +193,12 @@ class TestCompatibility:
         with pytest.raises(InvalidInputError):
             compatibility(data_a, -1.0)
 
+    def test_degenerate_logarithm_raises(self):
+        # alpha + sqrt(alpha^2 + 4m) rounds to 0 for alpha = -1e9 at tiny m
+        d = BoundaryData(a=0.0, b=1.0, alpha=-1e9, beta=0.5)
+        with pytest.raises(SingularEvaluationError, match="degenerate logarithm"):
+            compatibility(d, 1e-300)
+
 
 def _fit_counting_calls(data):
     """``fit_model(data)`` and the ``m`` of each ``compatibility`` call it made."""
@@ -392,7 +398,8 @@ class TestRefinedQuantities:
             assert refined_k(replace(model_c, L=L)) == k0
 
     def test_k_rejects_increasing(self, model_a):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(UnsupportedRegimeError,
+                           match="the refined identity applies to covered decreasing profiles"):
             refined_k(model_a)
 
     def test_phi_frozen(self, model_b, model_c):

@@ -1,5 +1,6 @@
 """Tests for the finite-difference solver, gradients and manufactured fields."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -55,6 +56,12 @@ def wavy_domain():
 
 
 class TestOptions:
+    def test_frozen(self):
+        # a tolerance set after construction would skip the range check
+        options = SolveOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.tol = 0.5
+
     def test_tol_bounds(self):
         with pytest.raises(InvalidInputError):
             SolveOptions(tol=0.0)
@@ -120,8 +127,9 @@ class TestSolve:
         monkeypatch.setattr(solver_module, "_stencil",
                             lambda grid: {(di, dj): zero for di in (-1, 0, 1)
                                           for dj in (-1, 0, 1)})
-        with pytest.raises(SolverFailureError, match="singular"):
+        with pytest.raises(SolverFailureError, match="singular") as exc:
             solve_dirichlet(g, -2.0, 0.0, 1.0)
+        assert exc.value.residuals == []
 
     def test_restarts_reach_the_unrestarted_field(self, data_a, monkeypatch):
         g = build_grid(wavy_domain(), 33, 33)
@@ -363,8 +371,9 @@ class TestMms:
             mms_convergence(spec, manufactured_field("constant"), [17, 17])
         with pytest.raises(InvalidInputError):
             manufactured_field("cubic")
-        with pytest.raises(InvalidInputError):
-            manufactured_field("model")
+        for kind in ("model", "saddle"):
+            with pytest.raises(InvalidInputError, match=f"kind '{kind}' needs model parameters"):
+                manufactured_field(kind)
 
 
 class TestGradient:
@@ -414,6 +423,15 @@ class TestNeumannTrace:
         g = build_grid(wavy_domain(), 17, 32)
         fld = ScalarField(grid=g, values=np.full((17, 32), 2.0))
         assert np.max(np.abs(neumann_trace(fld, "inner"))) == 0.0
+
+    def test_grid_cannot_change_under_a_cached_trace(self, data_a):
+        # The field caches its gradient, so a grid that moved afterwards
+        # would leave every later trace stale.
+        g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
+        fld, _ = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
+        neumann_trace(fld, "inner")
+        with pytest.raises(ValueError, match="read-only"):
+            g.x[1:] += 0.01
 
     def test_which_validation(self, monkeypatch):
         g = build_grid(DomainSpec.circles(1.0, 2.0), 9, 16)
@@ -489,4 +507,18 @@ class TestFieldIO:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3] + damage(lines[3:])) + "\n")
         with pytest.raises(InvalidInputError):
+            read_field(path)
+
+    @pytest.mark.parametrize("column, text", [(2, "inf"), (3, "-inf"), (4, "nan")],
+                             ids=["x1", "x2", "value"])
+    def test_non_finite_number_rejected(self, tmp_path, column, text):
+        g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
+        path = tmp_path / "f.dat"
+        write_field(ScalarField(grid=g, values=np.zeros((9, 16))), path)
+        lines = path.read_text().splitlines()
+        cells = lines[10].split()
+        cells[column] = text
+        lines[10] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match="non-finite"):
             read_field(path)
