@@ -204,8 +204,7 @@ def _load_scenario(args) -> Scenario:
                     sweep=sweep, mms=mms)
 
 
-def cmd_fit(args) -> int:
-    s = _load_scenario(args)
+def cmd_fit(s: Scenario, args) -> int:
     case = classify_case(s.data)
     params = fit_model(s.data)
     print(f"case: {case}")
@@ -215,8 +214,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
-    s = _load_scenario(args)
+def cmd_solve(s: Scenario, args) -> int:
     spec = s.domain()
     grid = build_grid(spec, s.ns, s.ntheta)
     field, stats = solve_dirichlet(grid, -2.0, s.data.a, s.data.b, s.options)
@@ -230,8 +228,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    s = _load_scenario(args)
+def cmd_verify(s: Scenario, args) -> int:
     report = full_report(s.domain(), s.data, s.ns, s.ntheta, s.options)
     checks, ok = evaluate_checks(report, expect_asymmetric=args.expect_asymmetric)
     print(f"case: {report.case}")
@@ -266,8 +263,7 @@ def _write_csv(path, rows, header=CSV_COLUMNS):
         writer.writerows(rows)
 
 
-def cmd_sweep(args) -> int:
-    s = _load_scenario(args)
+def cmd_sweep(s: Scenario, args) -> int:
     if s.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' config block")
     parameter, values = s.sweep
@@ -295,8 +291,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_mms(args) -> int:
-    s = _load_scenario(args)
+def cmd_mms(s: Scenario, args) -> int:
     if s.mms is None:
         raise ConfigError("mms command needs an 'mms' config block")
     sizes, kind = s.mms
@@ -354,7 +349,7 @@ def main(argv=None) -> int:
     if unread:  # a flag the subcommand does not take: show that subcommand's usage
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        return args.func(args)
+        return args.func(_load_scenario(args), args)
     except SerrinError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

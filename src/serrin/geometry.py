@@ -22,7 +22,10 @@ import numpy as np
 from .errors import InvalidDomainError, InvalidInputError
 
 MAX_DEGREE = 16
-_VALIDATION_ANGLES = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+# Whole-curve samples: all for arc length and boundary distances, every second
+# one for total turning and for the validation each domain construction pays.
+CURVE_ANGLES = np.arange(8192) * (2 * np.pi / 8192)
+CURVE_ANGLES.flags.writeable = False
 # d^k/dtheta^k of cos(n theta) and sin(n theta) is n^k * sign * f(n theta),
 # with (sign, f) entry k of these rows.
 _COS_DERIVATIVES = ((1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos))
@@ -83,7 +86,7 @@ class FourierCurve:
         slope = sum(n * v for n, v in terms)
         if not math.isfinite(bound * bound + slope * slope):
             raise InvalidDomainError("curve speed can overflow: its coefficients are too large")
-        if not np.all(self.radius(_VALIDATION_ANGLES) > 0):
+        if not np.all(self.radius(CURVE_ANGLES[::2]) > 0):
             raise InvalidDomainError("curve radius must be positive for all angles")
 
     def _series(self, theta, order):
@@ -130,17 +133,14 @@ class FourierCurve:
         return num / den
 
     def length(self) -> float:
-        """Arc length by the periodic trapezoid rule on 8192 samples."""
-        n = 8192
-        th = np.arange(n) * (2 * np.pi / n)
-        return float(np.sum(self.speed(th)) * (2 * np.pi / n))
+        """Arc length by the periodic trapezoid rule on :data:`CURVE_ANGLES`."""
+        return float(np.sum(self.speed(CURVE_ANGLES)) * CURVE_ANGLES[1])
 
     def total_turning(self) -> float:
         """Integral of curvature against arc length (2*pi for embedded curves),
-        by the periodic trapezoid rule on 4096 samples."""
-        n = 4096
-        th = np.arange(n) * (2 * np.pi / n)
-        return float(np.sum(self.curvature(th) * self.speed(th)) * (2 * np.pi / n))
+        by the periodic trapezoid rule on every second of :data:`CURVE_ANGLES`."""
+        th = CURVE_ANGLES[::2]
+        return float(np.sum(self.curvature(th) * self.speed(th)) * th[1])
 
     def enclosed_area(self) -> float:
         """Area enclosed by the curve, exact for the truncated series."""
@@ -186,7 +186,7 @@ class DomainSpec:
     outer: FourierCurve
 
     def __post_init__(self):
-        gap = self.outer.radius(_VALIDATION_ANGLES) - self.inner.radius(_VALIDATION_ANGLES)
+        gap = self.outer.radius(CURVE_ANGLES[::2]) - self.inner.radius(CURVE_ANGLES[::2])
         if not np.all(gap > 0):
             raise InvalidDomainError(
                 "outer curve must stay strictly outside the inner curve"

@@ -169,12 +169,13 @@ def model_u_prime(params: ModelParams, r):
 
 def boundary_data_of(params: ModelParams) -> BoundaryData:
     """Boundary data generated by a model (outward normals of the annulus)."""
-    ri, ro, M = params.r_i, params.r_o, params.M
+    ri, ro = params.r_i, params.r_o
     return BoundaryData(
         a=model_u(params, ri),
         b=model_u(params, ro),
-        alpha=(ri * ri - M) / ri,
-        beta=(M - ro * ro) / ro,
+        # 0.0 - u', not -u': a zero inner slope stays +0.0, as (r_i^2 - M)/r_i gives
+        alpha=0.0 - model_u_prime(params, ri),
+        beta=model_u_prime(params, ro),
     )
 
 
@@ -247,12 +248,12 @@ def fit_model(data: BoundaryData) -> ModelParams:
     Increasing or DecreasingCovered.  The root of the compatibility
     function ``F`` is bracketed along one path: ``M = 0`` is returned when
     ``|F(0)|`` is within the fit tolerance, :class:`RootBracketError` is
-    raised when ``F(0) > 0``, and otherwise ``lo = 0`` while ``hi`` doubles
-    from ``m0 = max(1, alpha^2, beta^2)`` until ``F(hi) > 0``, up to a
-    ceiling.  Bisection then narrows the bracket until its ends are
-    adjacent floats, and the end with the smaller ``|F|`` is returned;
-    :class:`RootBracketError` is raised if that ``|F|`` exceeds the fit
-    tolerance.
+    raised when ``F(0) > 0`` or when ``m0 = max(1, alpha^2, beta^2)``
+    overflows, and otherwise ``lo = 0`` while ``hi`` doubles from ``m0``
+    until ``F(hi) > 0``, up to a ceiling.  Bisection then narrows the
+    bracket until its ends are adjacent floats, and the end with the
+    smaller ``|F|`` is returned; :class:`RootBracketError` is raised if
+    that ``|F|`` exceeds the fit tolerance.
     """
     case = classify_case(data)
     if case not in (ProblemCase.INCREASING, ProblemCase.DECREASING_COVERED):
@@ -273,6 +274,9 @@ def fit_model(data: BoundaryData) -> ModelParams:
     if f_lo > 0:
         raise RootBracketError("compatibility has no sign change down to m = 0")
     hi = max(1.0, al * al, be * be)
+    if not math.isfinite(hi):
+        raise RootBracketError(
+            f"the bracket [0, {hi:g}] is not finite: alpha^2 or beta^2 overflows")
     f_hi = F(hi)
     while f_hi <= 0:
         if hi > _BRACKET_CEILING:

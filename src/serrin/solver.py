@@ -133,9 +133,11 @@ class GradientField:
 def _per_angle(value, ntheta, name):
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        return np.full(ntheta, float(arr))
+        arr = np.full(ntheta, float(arr))
     if arr.shape != (ntheta,):
         raise InvalidInputError(f"{name} must be a scalar or a length-ntheta array")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} must be finite")
     return arr
 
 
@@ -380,7 +382,7 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
         Constant right-hand side of the equation (``-2`` for the torsion
         problem); it must be a finite scalar.
     inner_value, outer_value : float or (ntheta,) array
-        Dirichlet data on the boundary rows.
+        Finite Dirichlet data on the boundary rows.
     options : SolveOptions, optional
 
     Returns
@@ -481,23 +483,17 @@ def manufactured_field(kind: str, params: Optional[ModelParams] = None) -> Manuf
     ``saddle`` (model plus the harmonic x^2 - y^2, needs ``params``),
     ``linear`` (u = x, zero right-hand side) or ``constant``.
     """
+    fields = {
+        "model": (lambda x, y: model_u(params, np.hypot(x, y)), -2.0),
+        "saddle": (lambda x, y: x * x - y * y + model_u(params, np.hypot(x, y)), -2.0),
+        "linear": (lambda x, y: x + 0.0 * y, 0.0),
+        "constant": (lambda x, y: np.ones_like(x), 0.0),
+    }
+    if kind not in fields:
+        raise InvalidInputError(f"unknown manufactured field kind {kind!r}")
     if kind in ("model", "saddle") and params is None:
         raise InvalidInputError(f"kind {kind!r} needs model parameters")
-    if kind == "model":
-        return ManufacturedField(
-            "model", lambda x, y, p=params: model_u(p, np.hypot(x, y)), -2.0
-        )
-    if kind == "saddle":
-        return ManufacturedField(
-            "saddle",
-            lambda x, y, p=params: x * x - y * y + model_u(p, np.hypot(x, y)),
-            -2.0,
-        )
-    if kind == "linear":
-        return ManufacturedField("linear", lambda x, y: x + 0.0 * y, 0.0)
-    if kind == "constant":
-        return ManufacturedField("constant", lambda x, y: np.ones_like(x), 0.0)
-    raise InvalidInputError(f"unknown manufactured field kind {kind!r}")
+    return ManufacturedField(kind, *fields[kind])
 
 
 @dataclass

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InconsistentModelError, InvalidInputError, UnsupportedRegimeError
 from .geometry import (
+    CURVE_ANGLES,
     SIDES,
     CurvGrid,
     DomainSpec,
@@ -70,9 +71,6 @@ DEFAULT_TRUNCATION = 1e-4
 # Field values may leave the model's value range by this much (relative to
 # max(1, |range ends|)) before being clipped into it for the pseudo-radius.
 _CLIP_TOL = 1e-8
-
-# Curve samples for boundary_distance.
-_DISTANCE_SAMPLES = 8192
 
 # The gated checks in report order: check name and CSV column, TOLERANCES
 # key, comparison kind, and the report's value (None when inapplicable).
@@ -352,22 +350,25 @@ def boundary_distance(grid: CurvGrid, which: str, rows):
     """Distance from grid nodes to one boundary curve.
 
     ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows,
-    each in ``[0, ns)``.  Distances are measured to 8192 samples of the
-    curve, a chord length ``D`` apart, so they overestimate: by at most
-    about ``D^2 / (8 d)`` at distance ``d`` from the curve, which is
-    quadratic in ``D`` only away from it, and by up to ``D / 2`` on it.
-    Returns an array shaped ``(len(rows), ntheta)``.
+    each an integer in ``[0, ns)``.  Distances are measured to the curve's
+    points at :data:`~serrin.geometry.CURVE_ANGLES`, a chord length ``D``
+    apart, so they overestimate: by at most about ``D^2 / (8 d)`` at
+    distance ``d`` from the curve, which is quadratic in ``D`` only away
+    from it, and by up to ``D / 2`` on it.  Returns an array shaped
+    ``(len(rows), ntheta)``.
     """
     curve = grid.spec.curve(which)
-    rows = np.asarray(rows, dtype=int)
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(rows == np.floor(rows)):  # NaN fails too
+        raise InvalidInputError("rows must be integers")
     if np.any((rows < 0) | (rows >= grid.ns)):
         raise InvalidInputError(f"rows must lie in [0, {grid.ns})")
-    th = np.arange(_DISTANCE_SAMPLES) * (2 * np.pi / _DISTANCE_SAMPLES)
-    bx, by = curve.point(th)
+    rows = rows.astype(int)
+    bx, by = curve.point(CURVE_ANGLES)
     px = grid.x[rows].ravel()
     py = grid.y[rows].ravel()
     out = np.empty(px.size)
-    # Chunks of nodes bound each (chunk, _DISTANCE_SAMPLES) temporary to 2 MiB.
+    # Chunks of nodes bound each (chunk, CURVE_ANGLES.size) temporary to 2 MiB.
     chunk = 32
     for start in range(0, px.size, chunk):
         sl = slice(start, start + chunk)
@@ -594,11 +595,10 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
     report = VerificationReport(
         case=str(case), ns=grid.ns, ntheta=grid.ntheta, regime_note=note,
         diagnostic_only=diagnostic, neumann_inner=n_in, neumann_outer=n_out,
-        pohozaev_res=pohozaev_res, solver=asdict(stats), timings=timings,
+        pohozaev_res=pohozaev_res, model=params, fit_residual=fit_residual,
+        solver=asdict(stats), timings=timings,
     )
     if params is not None:
-        report.model = params
-        report.fit_residual = fit_residual
         with _timed(timings, "gradient_bound"):
             report.grad_margin, report.grad_margin_at = gradient_bound_margin(field, params)
         with _timed(timings, "area_margins"):

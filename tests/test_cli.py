@@ -63,6 +63,13 @@ class TestFit:
         proc = run_cli("fit", cfg)
         assert proc.returncode == 2
 
+    def test_overflowing_slope_square_exits_4(self, tmp_path, run_main):
+        # no root bracket, not invalid input: alpha^2 overflows
+        data = {"boundary_data": {"a": 0.0, "b": 1.0, "alpha": -1e200, "beta": 1.0}}
+        proc = run_main("fit", write_cfg(tmp_path, "o.json", data))
+        assert proc.returncode == 4
+        assert "bracket [0, inf] is not finite" in proc.stderr
+
     def test_missing_config_exits_2(self, run_main):
         proc = run_main("fit", "/nonexistent/cfg.json")
         assert proc.returncode == 2

@@ -18,6 +18,7 @@ from serrin import (
     model_u,
     region_areas,
 )
+from serrin.geometry import CURVE_ANGLES
 
 WAVY = FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.0, 0.1))
 WAVY_LEN = 6.4225893330511004
@@ -105,6 +106,14 @@ class TestFourierCurve:
         th = np.arange(65536) * (2 * np.pi / 65536)
         fine = np.sum(WAVY.speed(th)) * (2 * np.pi / 65536)
         assert fine == pytest.approx(WAVY.length(), rel=1e-13)
+
+    def test_curve_angles_are_fixed(self):
+        # every second angle is the 4,096-angle validation sample, and no
+        # caller can move the samples that every curve check reads
+        assert np.array_equal(CURVE_ANGLES[::2],
+                              np.linspace(0.0, 2 * np.pi, 4096, endpoint=False))
+        with pytest.raises(ValueError):
+            CURVE_ANGLES[1] = 0.0
 
     def test_curvature(self):
         assert FourierCurve(c0=2.0).curvature(0.3) == pytest.approx(0.5, rel=1e-14)

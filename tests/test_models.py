@@ -263,6 +263,14 @@ class TestFit:
         with pytest.raises(RootBracketError):
             fit_model(d)
 
+    def test_overflowing_slope_square_names_the_bracket(self):
+        # finite and Increasing, but alpha^2 overflows the bracket's start;
+        # this once failed inside compatibility's own argument check
+        d = BoundaryData(a=0.0, b=1.0, alpha=-1e200, beta=1.0)
+        assert classify_case(d) is ProblemCase.INCREASING
+        with pytest.raises(RootBracketError, match=r"bracket \[0, inf\] is not finite"):
+            fit_model(d)
+
     def test_residual_contract_and_round_trip(self):
         rng = np.random.default_rng(23)
         for _ in range(200):

@@ -86,6 +86,16 @@ class TestSolve:
         with pytest.raises(InvalidInputError):
             solve_dirichlet(g, -2.0, np.zeros(5), 0.0)
 
+    @pytest.mark.parametrize("side", ["inner", "outer"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.r_[np.zeros(15), np.nan]],
+                             ids=["nan", "inf", "-inf", "array"])
+    def test_non_finite_dirichlet_data_rejected(self, side, bad):
+        # once a solver failure (exit 4), and a RuntimeWarning for inf
+        g = build_grid(DomainSpec.circles(1.0, 2.0), 9, 16)
+        data = {"inner_value": -2.0, "outer_value": 1.0, f"{side}_value": bad}
+        with pytest.raises(InvalidInputError, match=f"{side}_value must be finite"):
+            solve_dirichlet(g, -2.0, **data)
+
     def test_second_order_on_model(self, model_a, data_a):
         spec = DomainSpec.circles(model_a.r_i, model_a.r_o)
         errs = []

@@ -229,6 +229,14 @@ class TestBoundaryDistance:
         with pytest.raises(InvalidInputError):
             boundary_distance(grid, "inner", rows=rows)
 
+    @pytest.mark.parametrize("rows", [[1.7], [0, 2.5], [np.nan]],
+                             ids=["fraction", "one_of_two", "nan"])
+    def test_non_integer_rows_rejected(self, rows):
+        # [1.7] was once read as row 1
+        grid = build_grid(DomainSpec.circles(1.0, 2.0), 17, 32)
+        with pytest.raises(InvalidInputError, match="rows must be integers"):
+            boundary_distance(grid, "inner", rows=rows)
+
 
 class TestExpansion:
     def test_synthetic_quadratic(self):
