@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -174,8 +173,9 @@ def pohozaev_residual(field: ScalarField, data: BoundaryData) -> float:
 
 
 def _model_fields(field: ScalarField, params: ModelParams):
-    """Pseudo-radius ``psi``, ``W = |grad u|^2`` and the model's ``W0(psi)``;
-    the model checks read them through ``field.derived``, once per field."""
+    """Pseudo-radius ``psi``, ``W = |grad u|^2``, the model's ``W0(psi)`` and
+    the mask of nodes outside the degenerate band; the model checks read
+    them through ``field.derived``, once per field."""
     lo, hi = params.value_range
     scale = max(1.0, abs(lo), abs(hi))
     worst = float(np.max(np.maximum(field.values - hi, lo - field.values)))
@@ -185,7 +185,8 @@ def _model_fields(field: ScalarField, params: ModelParams):
             f"(allowed {_CLIP_TOL * scale:.3e})"
         )
     psi = pseudo_radius(params, np.clip(field.values, lo, hi))
-    return psi, field.derived(gradient_field).w, model_gradient_sq(params, psi)
+    return (psi, field.derived(gradient_field).w, model_gradient_sq(params, psi),
+            ~degenerate_band(params, psi, DEFAULT_TRUNCATION))
 
 
 def gradient_bound_margin(field: ScalarField, params: ModelParams):
@@ -196,7 +197,7 @@ def gradient_bound_margin(field: ScalarField, params: ModelParams):
     bound holds on the grid.
     """
     grid = field.grid
-    _, w, w0 = field.derived(_model_fields, params)
+    _, w, w0, _ = field.derived(_model_fields, params)
     inner = (w - w0)[1:-1]
     flat = int(np.argmax(inner))
     i, j = 1 + flat // grid.ntheta, flat % grid.ntheta
@@ -249,8 +250,7 @@ def divergence_identity_residual(field: ScalarField, params: ModelParams
             "divergence identity applies to increasing profiles", case=params.case
         )
     M, grid, cutoff = params.M, field.grid, DEFAULT_TRUNCATION
-    psi, w, w0 = field.derived(_model_fields, params)
-    keep = ~degenerate_band(params, psi, cutoff)
+    psi, w, w0, keep = field.derived(_model_fields, params)
     integrand = np.zeros_like(psi)
     np.divide(2 * psi * psi * (w0 - w), (M - psi * psi)**3, out=integrand, where=keep)
     interior = integrate_area(grid, integrand)
@@ -314,8 +314,7 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams
     k, cutoff = refined_k(params), DEFAULT_TRUNCATION
     M, ri, ro, grid = params.M, params.r_i, params.r_o, field.grid
     d = boundary_data_of(params)
-    psi, w, w0 = field.derived(_model_fields, params)
-    keep = ~degenerate_band(params, psi, cutoff)
+    psi, w, w0, keep = field.derived(_model_fields, params)
     density = np.zeros_like(psi)
     density[keep] = refined_phi_dot(params, k, psi[keep]) * (w - w0)[keep]
     weighted = integrate_area(grid, density)
@@ -482,13 +481,10 @@ class VerificationReport:
             }
         for key, block in [("divergence_identity", self.divergence),
                            ("refined_identity", self.refined),
-                           ("expansion", self.expansion)]:
+                           ("expansion", self.expansion),
+                           ("solver", self.solver), ("timings", self.timings)]:
             if block is not None:
-                out[key] = asdict(block)
-        if self.solver is not None:
-            out["solver"] = dict(self.solver)
-        if self.timings is not None:
-            out["timings"] = dict(self.timings)
+                out[key] = dict(block) if isinstance(block, dict) else asdict(block)
         return out
 
     def csv_row(self, eps: float = 0.0) -> list:
@@ -551,12 +547,12 @@ def evaluate_checks(report: VerificationReport, expect_asymmetric: bool = False)
     return checks, not any(c.failed for c in checks)
 
 
-@contextmanager
-def _timed(timings: dict, stage: str):
-    """Record the wall seconds spent in the ``with`` body as ``timings[stage]``."""
+def _timed(timings: dict, stage: str, compute, *args):
+    """``compute(*args)``, with its wall seconds recorded as ``timings[stage]``."""
     start = time.perf_counter()
-    yield
+    result = compute(*args)
     timings[stage] = time.perf_counter() - start
+    return result
 
 
 def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
@@ -570,45 +566,35 @@ def full_report(spec: DomainSpec, data: BoundaryData, ns: int, ntheta: int,
     """
     timings = {}
     case = classify_case(data)
-    params = None
-    fit_residual = None
+    params = fit_residual = grad_margin = grad_at = area_in = area_out = None
+    divergence = refined = None
     if case in (ProblemCase.INCREASING, ProblemCase.DECREASING_COVERED):
-        with _timed(timings, "fit"):
-            params = fit_model(data)
-            fit_residual = abs(compatibility(data, params.M))
-    with _timed(timings, "grid"):
-        grid = build_grid(spec, ns, ntheta)
-    with _timed(timings, "solve"):
-        field, stats = solve_dirichlet(grid, -2.0, data.a, data.b, options)
-
-    with _timed(timings, "traces"):
-        n_in, n_out = field.derived(_neumann_stats)
-    diagnostic = (n_in.sd > TOLERANCES["neumann_sd"]
-                  or n_out.sd > TOLERANCES["neumann_sd"])
+        params = _timed(timings, "fit", fit_model, data)
+        fit_residual = abs(compatibility(data, params.M))
+    grid = _timed(timings, "grid", build_grid, spec, ns, ntheta)
+    field, stats = _timed(timings, "solve", solve_dirichlet, grid, -2.0, data.a, data.b, options)
+    n_in, n_out = _timed(timings, "traces", field.derived, _neumann_stats)
+    diagnostic = n_in.sd > TOLERANCES["neumann_sd"] or n_out.sd > TOLERANCES["neumann_sd"]
     note = _REGIME_NOTES[case]
     if diagnostic:
         note += ("; Neumann trace is not constant at this resolution, "
                  "model-based checks are diagnostic only")
-
-    with _timed(timings, "pohozaev"):
-        pohozaev_res = pohozaev_residual(field, data)
-    report = VerificationReport(
+    pohozaev_res = _timed(timings, "pohozaev", pohozaev_residual, field, data)
+    if params is not None:
+        grad_margin, grad_at = _timed(timings, "gradient_bound", gradient_bound_margin,
+                                      field, params)
+        area_in, area_out = _timed(timings, "area_margins", area_bound_check, spec, params)
+        if case is ProblemCase.INCREASING:
+            divergence = _timed(timings, "divergence_identity",
+                                divergence_identity_residual, field, params)
+        else:
+            refined = _timed(timings, "refined_identity", refined_pohozaev_check, field, params)
+    expansion = _timed(timings, "expansion", degenerate_expansion_check, field)
+    return VerificationReport(
         case=str(case), ns=grid.ns, ntheta=grid.ntheta, regime_note=note,
         diagnostic_only=diagnostic, neumann_inner=n_in, neumann_outer=n_out,
         pohozaev_res=pohozaev_res, model=params, fit_residual=fit_residual,
-        solver=asdict(stats), timings=timings,
+        grad_margin=grad_margin, grad_margin_at=grad_at, area_margin_in=area_in,
+        area_margin_out=area_out, divergence=divergence, refined=refined,
+        expansion=expansion, solver=asdict(stats), timings=timings,
     )
-    if params is not None:
-        with _timed(timings, "gradient_bound"):
-            report.grad_margin, report.grad_margin_at = gradient_bound_margin(field, params)
-        with _timed(timings, "area_margins"):
-            report.area_margin_in, report.area_margin_out = area_bound_check(spec, params)
-        if case is ProblemCase.INCREASING:
-            with _timed(timings, "divergence_identity"):
-                report.divergence = divergence_identity_residual(field, params)
-        else:
-            with _timed(timings, "refined_identity"):
-                report.refined = refined_pohozaev_check(field, params)
-    with _timed(timings, "expansion"):
-        report.expansion = degenerate_expansion_check(field)
-    return report

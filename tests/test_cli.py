@@ -70,6 +70,13 @@ class TestFit:
         assert proc.returncode == 4
         assert "bracket [0, inf] is not finite" in proc.stderr
 
+    def test_bracket_ceiling_exits_4(self, tmp_path, run_main):
+        data = {"boundary_data": {"a": 0.9380813986872819, "b": 1931.2271964517008,
+                                  "alpha": -87.87011224580067, "beta": 0.012879315087262862}}
+        proc = run_main("fit", write_cfg(tmp_path, "c.json", data))
+        assert proc.returncode == 4
+        assert "bracket ceiling" in proc.stderr
+
     def test_missing_config_exits_2(self, run_main):
         proc = run_main("fit", "/nonexistent/cfg.json")
         assert proc.returncode == 2
@@ -261,6 +268,17 @@ class TestVerify:
         assert proc.returncode == 4
         assert "relative residual nan" in proc.stderr
 
+    def test_overflowing_dirichlet_data_exit_4(self, tmp_path, run_main):
+        # the stencil products of the data overflow before any norm is taken
+        cfg = write_cfg(tmp_path, "verify.json", {
+            "boundary_data": {"a": 1e308, "b": -1e308, "alpha": 0.5, "beta": -0.5},
+            "domain": {"inner": {"c0": 1.0}, "outer": {"c0": 2.0}},
+            "resolution": {"ns": 17, "ntheta": 16},
+        })
+        proc = run_main("verify", cfg)
+        assert proc.returncode == 4
+        assert "relative residual nan" in proc.stderr
+
     def test_large_constant_is_no_numerical_failure(self, tmp_path, run_main):
         # k is K(r_i), which does not read L; the verdict itself is not pinned
         cfg = write_cfg(tmp_path, "verify.json", {
@@ -293,6 +311,32 @@ class TestVerify:
         solver = dict(item.split("=") for item in extra[-1].split()[1:])
         assert set(solver) == {"iterations", "assemble_s", "setup_s", "solve_s"}
         assert solver["iterations"] == "1"  # circles
+
+    @pytest.mark.parametrize("data, blocks, stages", [
+        ({"model_params": {"L": 0.0, "M": 1.0, "r_i": 1.2, "r_o": 2.0}},
+         {"model", "fit_residual", "gradient_bound", "area_margins", "refined_identity"},
+         ["fit", "grid", "solve", "traces", "pohozaev", "gradient_bound", "area_margins",
+          "refined_identity", "expansion"]),
+        ({**UNCOVERED, "domain": {"inner": {"c0": 1.0}, "outer": {"c0": 2.0}}},
+         set(), ["grid", "solve", "traces", "pohozaev", "expansion"]),
+        ({**INADMISSIBLE, "domain": {"inner": {"c0": 1.0}, "outer": {"c0": 2.0}}},
+         set(), ["grid", "solve", "traces", "pohozaev", "expansion"]),
+    ], ids=["covered_decreasing", "unproven", "inadmissible"])
+    def test_timings_stages_of_each_regime(self, tmp_path, run_main, data, blocks, stages):
+        report = tmp_path / "report.json"
+        cfg = write_cfg(tmp_path, "verify.json", {
+            **data, "resolution": {"ns": 17, "ntheta": 16},
+            "output": {"report": str(report)},
+        })
+        proc = run_main("verify", cfg, "--timings")
+        printed = [line.split()[1].rstrip(":") for line in proc.stdout.splitlines()
+                   if line.startswith("time ")]
+        assert printed == stages
+        written = json.loads(report.read_text())  # keys sorted
+        assert sorted(written["timings"]) == sorted(stages)
+        assert set(written) == blocks | {
+            "case", "resolution", "regime_note", "diagnostic_only", "neumann",
+            "pohozaev_residual", "tolerances", "solver", "timings"}
 
     def test_csv_single_row(self, tmp_path, run_main):
         out = tmp_path / "row.csv"

@@ -271,6 +271,14 @@ class TestFit:
         with pytest.raises(RootBracketError, match=r"bracket \[0, inf\] is not finite"):
             fit_model(d)
 
+    def test_bracket_ceiling_raises(self):
+        # Increasing, yet F stays nonpositive while hi doubles past 1e12
+        d = BoundaryData(a=0.9380813986872819, b=1931.2271964517008,
+                         alpha=-87.87011224580067, beta=0.012879315087262862)
+        assert classify_case(d) is ProblemCase.INCREASING
+        with pytest.raises(RootBracketError, match="nonpositive up to the bracket ceiling 1e"):
+            fit_model(d)
+
     def test_residual_contract_and_round_trip(self):
         rng = np.random.default_rng(23)
         for _ in range(200):

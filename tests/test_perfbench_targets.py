@@ -1,10 +1,20 @@
-"""The benchmark's tracer rebinds functions that the package still has."""
+"""The benchmark uses only names and report fields that the package still has."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import serrin
+from serrin import VerificationReport
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))}
 
 
 def test_tracer_targets_exist():
@@ -16,3 +26,35 @@ def test_tracer_targets_exist():
     missing = [(module, name) for module, name, _ in tracer.TARGETS
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+def test_imported_names_exist():
+    # every benchmark run imports these first, traced or not
+    imported = [(file, alias.name) for file, tree in _trees().items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "serrin"
+                and node.level == 0
+                for alias in node.names]
+    assert len({file for file, _ in imported}) >= 4  # oracle, record, selfcheck, workloads
+    missing = [(file, name) for file, name in imported
+               if not hasattr(serrin, name)
+               and importlib.util.find_spec(f"serrin.{name}") is None]
+    assert missing == []
+
+
+def test_report_attributes_read_by_the_oracle_exist():
+    # the oracle judges each report by these; a dropped field fails every run
+    tree = _trees()["oracle.py"]
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "report"}
+    assert {"case", "diagnostic_only", "model", "csv_row"} <= read
+    fields = {f.name for f in dataclasses.fields(VerificationReport)}
+    methods = {name for name in read if callable(getattr(VerificationReport, name, None))}
+    assert read - methods <= fields
+
+
+def test_selfcheck_can_assign_report_fields():
+    # the self-check falsifies a report by assigning a wrong pohozaev_res
+    assert not VerificationReport.__dataclass_params__.frozen
+    assert "pohozaev_res" in {f.name for f in dataclasses.fields(VerificationReport)}

@@ -96,6 +96,14 @@ class TestSolve:
         with pytest.raises(InvalidInputError, match=f"{side}_value must be finite"):
             solve_dirichlet(g, -2.0, **data)
 
+    def test_huge_dirichlet_data_fail_without_a_warning(self):
+        # finite data whose stencil products overflow: a failed solve, not a
+        # RuntimeWarning (an error under this suite's warning filter)
+        g = build_grid(DomainSpec.circles(1.0, 2.0), 17, 16)
+        with pytest.raises(SolverFailureError, match="relative residual nan") as info:
+            solve_dirichlet(g, -2.0, 1e308, -1e308)
+        assert np.isnan(info.value.residuals).tolist() == [True]  # after 0 iterations
+
     def test_second_order_on_model(self, model_a, data_a):
         spec = DomainSpec.circles(model_a.r_i, model_a.r_o)
         errs = []

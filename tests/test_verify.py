@@ -293,6 +293,29 @@ class TestFullReport:
         assert "div_identity_res" in names
         assert "refined_identity_res" not in names
 
+    @pytest.mark.parametrize("spec, data, blocks, stages", [
+        (DomainSpec.circles(1.0, 1.5), boundary_data_of(ModelParams(0.0, 4.0, 1.0, 1.5)),
+         ["model", "fit_residual", "gradient_bound", "area_margins", "divergence_identity"],
+         ["fit", "grid", "solve", "traces", "pohozaev", "gradient_bound", "area_margins",
+          "divergence_identity", "expansion"]),
+        # model D: the degenerate inner boundary adds the expansion block
+        (DomainSpec.circles(1.0, 2.0), boundary_data_of(ModelParams(0.0, 1.0, 1.0, 2.0)),
+         ["model", "fit_residual", "gradient_bound", "area_margins", "refined_identity",
+          "expansion"],
+         ["fit", "grid", "solve", "traces", "pohozaev", "gradient_bound", "area_margins",
+          "refined_identity", "expansion"]),
+        (DomainSpec.circles(1.0, 2.0), BoundaryData(a=1.0, b=0.0, alpha=0.5, beta=-0.5),
+         [], ["grid", "solve", "traces", "pohozaev", "expansion"]),
+        (DomainSpec.circles(1.0, 2.0), BoundaryData(a=0.0, b=1.0, alpha=0.5, beta=0.5),
+         [], ["grid", "solve", "traces", "pohozaev", "expansion"]),
+    ], ids=["increasing", "covered_decreasing", "unproven", "inadmissible"])
+    def test_blocks_and_stages_in_order(self, spec, data, blocks, stages):
+        tree = full_report(spec, data, 33, 32).to_dict()
+        assert list(tree) == [
+            "case", "resolution", "regime_note", "diagnostic_only", "neumann",
+            "pohozaev_residual", "tolerances", *blocks, "solver", "timings"]
+        assert list(tree["timings"]) == stages
+
     def test_decreasing_model_report(self, model_c):
         spec = DomainSpec.circles(model_c.r_i, model_c.r_o)
         rep = full_report(spec, boundary_data_of(model_c), 65, 64)
