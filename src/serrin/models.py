@@ -39,6 +39,9 @@ _FIT_TOL = 1e-12
 
 _BRACKET_CEILING = 1e12
 
+# Profile samples behind pseudo_radius's interpolated Newton start.
+_SEED_RADII = 65
+
 
 class ProblemCase(Enum):
     """Classification of constant boundary data quadruples."""
@@ -301,17 +304,35 @@ def fit_model(data: BoundaryData) -> ModelParams:
     return _build_params(data, m)
 
 
+def _tangent_step(params: ModelParams, r, target):
+    """One Newton step on ``u(r) = target`` from ``r``, clipped to ``[r_i, r_o]``.
+
+    The profile is concave (``u'' = -1 - M/r^2``), so its tangent at ``r``
+    lies above it and meets ``target`` on the near side of the root, where
+    ``u <= target``, whatever side ``r`` is on.  That needs a slope of the
+    profile's sign: a zero or wrong-signed one, which rounding leaves only
+    next to a degenerate end (``r = sqrt(M)``), gives the near end instead.
+    """
+    increasing = params.case is ProblemCase.INCREASING
+    slope = model_u_prime(params, r)
+    nxt = np.clip(r - (model_u(params, r) - target) / slope, params.r_i, params.r_o)
+    return np.where(slope > 0 if increasing else slope < 0, nxt,
+                    params.r_i if increasing else params.r_o)
+
+
 def pseudo_radius(params: ModelParams, value):
     """Invert the monotone profile: the radius in [r_i, r_o] where u attains value.
 
     ``value`` may be scalar or array; entries outside the closed range of the
     profile (or NaN) raise :class:`OutOfRangeError`.  Solved by Newton's
-    method on ``u(r) = value``, started at the end where ``u`` is smallest:
-    the profile is concave (``u'' = -1 - M/r^2``), so every tangent step
-    stays on the near side of the root.  Steps are clipped to ``[r_i, r_o]``,
-    and an entry stops at the first step that does not move it forward (a
-    non-finite step, from a zero slope at a degenerate end, never does), so
-    each entry's iterates move one way over finite floats and the loop ends.
+    method on ``u(r) = value`` from a seeded start: ``np.interp`` on the
+    profile at ``_SEED_RADII`` equally spaced radii, then one tangent step
+    (:func:`_tangent_step`).  The profile is concave, so that step lands on
+    the near side of the root, where ``u`` is below the value, from any
+    start, and every later step stays there.  Steps are clipped to ``[r_i,
+    r_o]``, and an entry stops at the first step that does not move it
+    forward, so each entry's iterates move one way over finite floats and the
+    loop ends.
     """
     arr, scalar = _as_array(value)
     lo_v, hi_v = params.value_range
@@ -322,13 +343,19 @@ def pseudo_radius(params: ModelParams, value):
         )
     increasing = params.case is ProblemCase.INCREASING
     target = arr.ravel()
-    psi = np.full(target.size, params.r_i if increasing else params.r_o)
-    todo = np.arange(psi.size)  # the entries still moving
+    radii = np.linspace(params.r_i, params.r_o, _SEED_RADII)
+    table = model_u(params, radii)
+    if not increasing:
+        radii, table = radii[::-1], table[::-1]
+    # np.interp needs nondecreasing samples, which rounding can break where
+    # the profile is flat.
+    start = np.interp(target, np.maximum.accumulate(table), radii)
     with np.errstate(divide="ignore", invalid="ignore"):
+        psi = _tangent_step(params, start, target)
+        todo = np.arange(psi.size)  # the entries still moving
         while todo.size:
             r = psi[todo]
-            step = (model_u(params, r) - target[todo]) / model_u_prime(params, r)
-            nxt = np.clip(r - step, params.r_i, params.r_o)
+            nxt = _tangent_step(params, r, target[todo])
             forward = nxt > r if increasing else nxt < r
             todo = todo[forward]
             psi[todo] = nxt[forward]

@@ -39,6 +39,7 @@ numpy each, so the solver, like the rest of the package, needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -191,9 +192,11 @@ def _apply(stencil, u: np.ndarray) -> np.ndarray:
                for (di, dj), coef in stencil.items())
 
 
+@functools.lru_cache(maxsize=8)
 def _dense_dft(nt: int) -> Optional[np.ndarray]:
     """The real ``(nt, 2 m)`` matrix ``D`` of the length-``nt`` real DFT,
     ``m = nt // 2 + 1``, or None where ``numpy.fft`` is the faster transform.
+    The matrix is built once per ``nt`` and shared, so it is read-only.
 
     ``(x @ D).view(complex)`` is ``numpy.fft.rfft(x, axis=1)`` and
     ``x_hat.view(float) @ D.T`` is ``numpy.fft.irfft(x_hat, nt, axis=1)``
@@ -225,6 +228,7 @@ def _dense_dft(nt: int) -> Optional[np.ndarray]:
     dft = np.exp(-2j * np.pi / nt * q)[np.outer(q, q[:nt // 2 + 1]) % nt].view(float)
     if nt % 2 == 0:
         dft[:, -1] = 0.0
+    dft.flags.writeable = False
     return dft
 
 
@@ -234,16 +238,20 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     equations of theta column ``j`` by one over the mean magnitude of their
     diagonal, and ``avg`` replaces each coefficient by its mean over theta.
 
-    ``avg(W L)`` is circulant in theta.  With the real DFT along theta, a
-    shift by ``dj`` nodes multiplies mode ``k`` by ``omega_k**dj``,
-    ``omega_k = exp(2 pi i k / ntheta)``, which leaves one tridiagonal
-    system in s per mode.  The transform is chosen once, from ``ntheta``
-    alone (:func:`_dense_dft`): ``numpy.fft.rfft``/``irfft``, or one dense
-    matrix product each way where ``ntheta`` has a large prime factor; the
-    dense inverse leaves out ``irfft``'s per-mode weights, which are folded
-    into the pivots, since a per-mode scale commutes with the per-mode
-    elimination.  The three bands are kept as ``(n_in, modes)`` arrays, the
-    layout ``rfft`` returns, and all modes are eliminated together, each row
+    ``avg(W L)`` is circulant in theta.  Each of its nine averages is one
+    matrix-vector product, ``coef @ w / ntheta``.  With the real DFT along
+    theta, a shift by ``dj`` nodes multiplies mode ``k`` by
+    ``omega_k**dj``, ``omega_k = exp(2 pi i k / ntheta)``, so each band is
+    its ``dj = 0`` average plus the outer products of the ``dj = 1`` and
+    ``dj = -1`` averages with ``omega`` and its conjugate, and one
+    tridiagonal system in s is left per mode.  The transform is chosen from
+    ``ntheta`` alone (:func:`_dense_dft`, whose matrix is built once per
+    ``ntheta``): ``numpy.fft.rfft``/``irfft``, or one dense matrix product
+    each way where ``ntheta`` has a large prime factor; the dense inverse
+    leaves out ``irfft``'s per-mode weights, which are folded into the
+    pivots, since a per-mode scale commutes with the per-mode elimination.
+    The three bands are kept as ``(n_in, modes)`` arrays, the layout
+    ``rfft`` returns, and all modes are eliminated together, each row
     operation vectorised over the modes: Gaussian elimination without
     pivoting (Golub & Van Loan, Matrix Computations, 4.3) factors the bands
     once, and each application makes one forward and one backward sweep
@@ -256,15 +264,19 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     with np.errstate(all="ignore"):
         # A column with a zero diagonal makes w, and so every pivot, non-finite.
         w = 1.0 / np.abs(stencil[0, 0]).mean(axis=0)
+        avg = {key: coef @ w / nt for key, coef in stencil.items()}
         # Row i of band di multiplies row i + di of the unknowns; the first and
         # last interior rows couple to the Dirichlet rows, which are eliminated
         # into the right-hand side, so lower[0] and upper[-1] are never read.
-        lower, pivot, upper = (sum((coef * w).mean(axis=1)[:, None] * omega ** dj
-                                   for (d, dj), coef in stencil.items() if d == di)
-                               for di in (-1, 0, 1))
-        for i in range(1, n_in):
-            lower[i] /= pivot[i - 1]
-            pivot[i] -= lower[i] * upper[i - 1]
+        lower, pivot, upper = (avg[di, 0][:, None] + np.outer(avg[di, 1], omega)
+                               + np.outer(avg[di, -1], omega.conj()) for di in (-1, 0, 1))
+        # Row views, so that each step of the factorization and of a sweep is
+        # one multiply and one in-place update.
+        lower_rows, pivot_rows, upper_rows = list(lower), list(pivot), list(upper)
+        for lo, piv, prev_piv, prev_up in zip(lower_rows[1:], pivot_rows[1:],
+                                              pivot_rows, upper_rows):
+            lo /= prev_piv
+            piv -= lo * prev_up
         inv_pivot = 1.0 / pivot
     if not np.all(np.isfinite(inv_pivot) & (pivot != 0)):
         raise SolverFailureError("the theta-averaged preconditioner is singular")
@@ -272,9 +284,6 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     dft = _dense_dft(nt)
     if dft is not None:  # irfft's per-mode weights, which the dense inverse leaves out
         inv_pivot *= np.where((modes == 0) | (2 * modes == nt), 1.0, 2.0) / nt
-    # Row views, so that each step of a sweep is one multiply and one
-    # in-place subtract.
-    lower_rows, upper_rows = list(lower), list(upper)
 
     def apply(r):
         rw = r.reshape(n_in, nt) * w
@@ -403,20 +412,27 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     t0 = time.perf_counter()
     stencil = _stencil(grid)
     # The Dirichlet rows are eliminated: their stencil terms move to the
-    # right-hand side, and the operator sees zero boundary rows.  The
-    # boundary array is dropped before the iteration, and the solution array
-    # is made after it, so that neither is held alongside the Krylov basis.
-    boundary = np.zeros((ns, nt))
-    boundary[0], boundary[-1] = a_arr, b_arr
+    # right-hand side, and the operator sees zero boundary rows.  Only the
+    # first and last interior rows reach a Dirichlet row, through the di = -1
+    # and di = 1 coefficients; summed in the stencil's order from 0, as in
+    # _apply, these rows are bit for bit those of _apply on the boundary
+    # array, whose other terms are all zero.  The solution array is made
+    # after the iteration, so that it is not held alongside the Krylov basis.
+    padded = np.zeros((ns, nt))  # the iterate between zero boundary rows
 
     def operator(x):
-        return _apply(stencil, np.pad(x.reshape(ns - 2, nt), ((1, 1), (0, 0)))).ravel()
+        padded[1:-1] = x.reshape(ns - 2, nt)
+        return _apply(stencil, padded).ravel()
 
     # Huge finite data can overflow the right-hand side or its norm; the
     # solve then fails in GMRES as a non-finite residual, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = (grid.jac[1:-1] * f - _apply(stencil, boundary)).ravel()
-        del boundary
+        rhs = grid.jac[1:-1] * f
+        rhs[0] -= sum(coef[0] * np.roll(a_arr, -dj)
+                      for (di, dj), coef in stencil.items() if di == -1)
+        rhs[-1] -= sum(coef[-1] * np.roll(b_arr, -dj)
+                       for (di, dj), coef in stencil.items() if di == 1)
+        rhs = rhs.ravel()
         t1 = time.perf_counter()
         precondition = _theta_averaged_inverse(stencil)
         t2 = time.perf_counter()
@@ -439,7 +455,14 @@ def _d_s(arr, ds):
 
 
 def _d_t(arr, dt):
-    return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2 * dt)
+    # Differenced into one output array, with the wrapped columns written
+    # apart: a temporary the size of arr costs more than its arithmetic.
+    out = np.empty_like(arr)
+    np.subtract(arr[:, 2:], arr[:, :-2], out=out[:, 1:-1])
+    out[:, 0] = arr[:, 1] - arr[:, -1]
+    out[:, -1] = arr[:, 0] - arr[:, -2]
+    out /= 2 * dt
+    return out
 
 
 def gradient_field(field: ScalarField) -> GradientField:

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from serrin import (
     BoundaryData,
+    DomainSpec,
+    FourierCurve,
     InvalidInputError,
     ModelParams,
     OutOfRangeError,
@@ -16,6 +18,7 @@ from serrin import (
     SingularEvaluationError,
     UnsupportedRegimeError,
     boundary_data_of,
+    build_grid,
     classify_case,
     compatibility,
     fit_model,
@@ -26,6 +29,7 @@ from serrin import (
     refined_k,
     refined_phi,
     refined_phi_dot,
+    solve_dirichlet,
 )
 from serrin import models as models_module
 from serrin.models import SINGULAR_CUTOFF, degenerate_band, refined_k_at
@@ -385,6 +389,54 @@ class TestPseudoRadius:
         psi = _assert_round_trip(p, v)
         if M == 0.0:
             assert np.all(np.abs(psi - np.sqrt(2 * (p.L - v))) <= 1e-15 * psi)
+
+
+    def test_seeded_newton_calls_on_a_solved_field(self, model_a, data_a, monkeypatch):
+        # The model-A field on inner 1 + 0.05 cos 3 theta at 65^2: the range
+        # check, the seed table, the tangent step from the interpolated start
+        # and four passes make 8 profile evaluations (10 from the near end).
+        spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.0, 0.05)),
+                          outer=FourierCurve(c0=1.5))
+        field, _ = solve_dirichlet(build_grid(spec, 65, 65), -2.0, data_a.a, data_a.b)
+        values = np.clip(field.values, *model_a.value_range)
+        calls = []
+        profile = models_module.model_u
+        monkeypatch.setattr(models_module, "model_u",
+                            lambda p, r: calls.append(1) or profile(p, r))
+        pseudo_radius(model_a, values)
+        assert len(calls) <= 8
+        monkeypatch.undo()
+        _assert_round_trip(model_a, values)
+
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0),
+           model=st.sampled_from(["increasing", "decreasing", "B", "D", "below", "outer"]),
+           gap=st.floats(-15.0, -3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_tangent_step_lands_on_the_near_side(self, seed, t, model, gap, model_b, model_d):
+        # From any radius in [r_i, r_o], ends included, one tangent step
+        # reaches a radius whose value is at most the target, up to the
+        # rounding of evaluating u there.  "below" and "outer" put a
+        # zero-slope radius at or 10^gap from r_o; D has it at r_i.
+        rng = np.random.default_rng(seed)
+        gens = {"increasing": random_increasing, "decreasing": random_decreasing}
+        if model in gens:
+            p = gens[model](rng)
+        elif model in ("B", "D"):
+            p = {"B": model_b, "D": model_d}[model]
+        else:
+            root, g = 1.0, 10.0 ** gap
+            r_i, r_o = {"below": (1 - g, 1.0), "outer": (0.5 * (1 - g), 1 - g)}[model]
+            p = ModelParams(L=float(rng.uniform(-2.0, 2.0)), M=root, r_i=r_i, r_o=r_o)
+        r = np.concatenate([[p.r_i, p.r_o], [min(p.r_i + t * (p.r_o - p.r_i), p.r_o)],
+                            rng.uniform(p.r_i, p.r_o, 20)])
+        lo, hi = p.value_range
+        target = np.concatenate([[lo, hi], rng.uniform(lo, hi, 21)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = models_module._tangent_step(p, r, target)
+        assert np.all((p.r_i <= nxt) & (nxt <= p.r_o))
+        eps = np.finfo(float).eps
+        bound = 4 * eps * (abs(p.L) + nxt * nxt / 2 + p.M * np.abs(np.log(nxt)))
+        assert np.all(model_u(p, nxt) - target <= bound)
 
 
 class TestGradientSq:

@@ -128,6 +128,34 @@ class TestSolve:
         assert 0 < history[-1] <= 1e-11
         assert f"relative residual {history[-1]:.3e}" in str(exc.value)
 
+    @pytest.mark.parametrize("case", ["ns9_circles", "wavy33_per_angle"])
+    def test_right_hand_side_is_the_boundary_rows_of_apply(self, case, model_a, monkeypatch):
+        # Only the first and last interior rows reach a Dirichlet row; the
+        # right-hand side built from them equals jac f - L(boundary) with the
+        # full operator, bit for bit.  The 33^2 case is the mms path: a
+        # manufactured field's per-angle data on a wavy domain.
+        if case == "ns9_circles":
+            g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
+            f, inner, outer = -2.0, 0.25, -1.5
+        else:
+            g = build_grid(wavy_domain(), 33, 33)
+            exact = manufactured_field("saddle", model_a)
+            ue = exact.fn(g.x, g.y)
+            f, inner, outer = exact.rhs, ue[0], ue[-1]
+        seen = {}
+        gmres = solver_module._gmres
+
+        def recording(operator, precondition, rhs, tol):
+            seen["rhs"] = rhs.copy()
+            return gmres(operator, precondition, rhs, tol)
+
+        monkeypatch.setattr(solver_module, "_gmres", recording)
+        solve_dirichlet(g, f, inner, outer)
+        boundary = np.zeros((g.ns, g.ntheta))
+        boundary[0], boundary[-1] = inner, outer
+        full = g.jac[1:-1] * f - solver_module._apply(solver_module._stencil(g), boundary)
+        assert seen["rhs"].tobytes() == full.ravel().tobytes()
+
     def test_singular_factor_raises_solver_failure(self, monkeypatch):
         # A zero operator: GMRES breaks down at once and x = 0 is left, whose
         # true relative residual is exactly 1.
@@ -289,6 +317,14 @@ class TestPreconditioner:
             # unpaired modes exactly.
             x_hat[:, unpaired] += 1j
             assert np.array_equal((x_hat * weights).view(float) @ dft.T, inverse)
+
+    def test_dense_dft_is_built_once_per_size(self):
+        dft = solver_module._dense_dft(257)
+        assert solver_module._dense_dft(257) is dft
+        assert not dft.flags.writeable
+        with pytest.raises(ValueError):
+            dft[0, 0] = 0.0
+        assert solver_module._dense_dft(256) is None
 
     def test_zero_pivot_raises_solver_failure(self):
         # Two rows whose averaged system is [[1, 1], [1, 1]] in every mode:
