@@ -22,8 +22,9 @@ import numpy as np
 from .errors import InvalidDomainError, InvalidInputError
 
 MAX_DEGREE = 16
-# Whole-curve samples: all for arc length and boundary distances, every second
-# one for total turning and for the validation each domain construction pays.
+# Whole-curve samples: all for arc length, every second one for total turning,
+# for the validation each domain construction pays and for the starting points
+# of the boundary-distance projection.
 CURVE_ANGLES = np.arange(8192) * (2 * np.pi / 8192)
 CURVE_ANGLES.flags.writeable = False
 # d^k/dtheta^k of cos(n theta) and sin(n theta) is n^k * sign * f(n theta),

@@ -346,34 +346,32 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams
 
 
 def boundary_distance(grid: CurvGrid, which: str, rows):
-    """Distance from grid nodes to one boundary curve.
+    """Distance from grid nodes to one boundary curve, shaped ``(len(rows), ntheta)``.
 
-    ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows,
-    each an integer in ``[0, ns)``.  Distances are measured to the curve's
-    points at :data:`~serrin.geometry.CURVE_ANGLES`, a chord length ``D``
-    apart, so they overestimate: by at most about ``D^2 / (8 d)`` at
-    distance ``d`` from the curve, which is quadratic in ``D`` only away
-    from it, and by up to ``D / 2`` on it.  Returns an array shaped
-    ``(len(rows), ntheta)``.
-    """
+    ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows, each an integer
+    in ``[0, ns)``.  Each node ``p`` starts at the nearest curve point at every second
+    :data:`~serrin.geometry.CURVE_ANGLES` and takes four Newton steps on its foot's
+    polar angle ``t`` for ``f = |p - curve(t)|^2 / 2``, none where ``f'' <= 0``."""
     curve = grid.spec.curve(which)
     rows = np.asarray(rows, dtype=float)
     if not np.all(rows == np.floor(rows)):  # NaN fails too
         raise InvalidInputError("rows must be integers")
     if np.any((rows < 0) | (rows >= grid.ns)):
         raise InvalidInputError(f"rows must lie in [0, {grid.ns})")
-    rows = rows.astype(int)
-    bx, by = curve.point(CURVE_ANGLES)
-    px = grid.x[rows].ravel()
-    py = grid.y[rows].ravel()
-    out = np.empty(px.size)
-    # Chunks of nodes bound each (chunk, CURVE_ANGLES.size) temporary to 2 MiB.
-    chunk = 32
-    for start in range(0, px.size, chunk):
-        sl = slice(start, start + chunk)
-        d2 = (px[sl, None] - bx[None, :]) ** 2 + (py[sl, None] - by[None, :]) ** 2
-        out[sl] = np.sqrt(d2.min(axis=1))
-    return out.reshape(rows.size, grid.ntheta)
+    x, y = grid.x[rows.astype(int)], grid.y[rows.astype(int)]
+    seeds = CURVE_ANGLES[::2]
+    bx, by = curve.point(seeds)
+    t = np.empty(x.shape)
+    for j in range(grid.ntheta):  # one column at a time: (len(rows), 4096) temporaries
+        t[:, j] = seeds[np.argmin((x[:, j, None] - bx) ** 2 + (y[:, j, None] - by) ** 2, axis=1)]
+    r = np.hypot(x, y)  # the node is r (cos theta, sin theta)
+    for _ in range(4):
+        rho, dp, ddp = curve.radius(t), curve.radius_prime(t), curve.radius_second(t)
+        c, s = r * np.cos(t - grid.theta), r * np.sin(t - grid.theta)
+        f2 = dp * dp + rho * ddp - ddp * c + 2 * dp * s + rho * c
+        t -= np.divide(rho * dp - dp * c + rho * s, f2, out=np.zeros_like(t), where=f2 > 0)
+    fx, fy = curve.point(t)
+    return np.sqrt((x - fx) ** 2 + (y - fy) ** 2)
 
 
 @dataclass

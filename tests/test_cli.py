@@ -77,6 +77,13 @@ class TestFit:
         assert proc.returncode == 4
         assert "bracket ceiling" in proc.stderr
 
+    def test_bisection_tolerance_exits_4(self, tmp_path, run_main):
+        data = {"boundary_data": {"a": -0.10769446358911439, "b": 0.03788047661527064,
+                                  "alpha": -0.7870687366811493, "beta": 0.1904905026954071}}
+        proc = run_main("fit", write_cfg(tmp_path, "b.json", data))
+        assert proc.returncode == 4
+        assert "bisection left" in proc.stderr
+
     def test_missing_config_exits_2(self, run_main):
         proc = run_main("fit", "/nonexistent/cfg.json")
         assert proc.returncode == 2

@@ -69,6 +69,11 @@ class TestFourierCurve:
         with pytest.raises(InvalidDomainError):
             FourierCurve(c0=1.0, cos_coeffs=(0.0,) * 17)
 
+    @pytest.mark.parametrize("c0", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_mean_radius_rejected(self, c0):
+        with pytest.raises(InvalidDomainError, match="c0 must be finite"):
+            FourierCurve(c0=c0)
+
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(InvalidDomainError):
             FourierCurve(c0=0.05, cos_coeffs=(0.2,))

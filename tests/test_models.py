@@ -89,6 +89,13 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             ModelParams(L=0.0, M=-1.0, r_i=1.0, r_o=2.0)
 
+    @pytest.mark.parametrize("name", ["L", "M", "r_i", "r_o"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_parameter(self, name, value):
+        params = {"L": 0.0, "M": 1.0, "r_i": 1.0, "r_o": 2.0, name: value}
+        with pytest.raises(InvalidInputError, match=f"model parameter '{name}' must be finite"):
+            ModelParams(**params)
+
     def test_radius_ordering(self):
         with pytest.raises(InvalidInputError):
             ModelParams(L=0.0, M=1.0, r_i=2.0, r_o=1.0)
@@ -281,6 +288,14 @@ class TestFit:
                          alpha=-87.87011224580067, beta=0.012879315087262862)
         assert classify_case(d) is ProblemCase.INCREASING
         with pytest.raises(RootBracketError, match="nonpositive up to the bracket ceiling 1e"):
+            fit_model(d)
+
+    def test_bisection_tolerance_raises(self):
+        # Increasing, bracketed, but the bisection's best |F| stays above ftol
+        d = BoundaryData(a=-0.10769446358911439, b=0.03788047661527064,
+                         alpha=-0.7870687366811493, beta=0.1904905026954071)
+        assert classify_case(d) is ProblemCase.INCREASING
+        with pytest.raises(RootBracketError, match="bisection left"):
             fit_model(d)
 
     def test_residual_contract_and_round_trip(self):

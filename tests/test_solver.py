@@ -25,6 +25,7 @@ from serrin import (
     mms_convergence,
     model_gradient_sq,
     model_u,
+    neumann_constancy,
     neumann_trace,
     read_field,
     solve_dirichlet,
@@ -473,6 +474,21 @@ class TestNeumannTrace:
         assert errs_in[1] < 5e-4
         assert errs_in[0] / errs_in[1] > 2.5
 
+    def test_converges_at_second_order_to_the_boundary_integral_value(self, data_a):
+        # inner sd of the model-A trace on inner 1 + 0.05 cos 3t, outer 1.5;
+        # 0.203125418856 is a spectral boundary-integral solution's value
+        spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.0, 0.05)),
+                          outer=FourierCurve(c0=1.5))
+        sds = []
+        for n in (65, 129, 257):
+            fld, _ = solve_dirichlet(build_grid(spec, n, n - 1), -2.0, data_a.a, data_a.b)
+            trace, weights = neumann_trace(fld, "inner"), fld.grid.arc_weights("inner")
+            sds.append(neumann_constancy(trace, weights).sd)
+        order = np.log2((sds[1] - sds[0]) / (sds[2] - sds[1]))
+        assert order == pytest.approx(2.0, abs=0.1)
+        limit = sds[2] + (sds[2] - sds[1]) / (2**order - 1)
+        assert limit == pytest.approx(0.203125418856, abs=1e-6)
+
     def test_constant_field(self):
         g = build_grid(wavy_domain(), 17, 32)
         fld = ScalarField(grid=g, values=np.full((17, 32), 2.0))
@@ -561,6 +577,16 @@ class TestFieldIO:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3] + damage(lines[3:])) + "\n")
         with pytest.raises(InvalidInputError):
+            read_field(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_rejected(self, tmp_path):
+        # numpy's "input contained no data" UserWarning once came first, and
+        # escaped in place of the InvalidInputError under -W error
+        path = tmp_path / "f.dat"
+        path.write_text("# scalar field on a blended polar grid\n2 16 abcdef012345\n"
+                        "# i j x1 x2 value\n")
+        with pytest.raises(InvalidInputError, match="row count"):
             read_field(path)
 
     @pytest.mark.parametrize("column, text", [(2, "inf"), (3, "-inf"), (4, "nan")],

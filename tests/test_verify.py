@@ -222,6 +222,48 @@ class TestBoundaryDistance:
         with pytest.raises(InvalidInputError):
             boundary_distance(grid, "both", [0])
 
+    def test_circle_distance_is_exact_off_the_samples(self):
+        # at odd ntheta the node angles are not sample angles; the nearest of
+        # 8,192 samples once overestimated these distances by up to 3.8e-4
+        grid = build_grid(DomainSpec.circles(1.0, 2.0), 129, 129)
+        radius = np.hypot(grid.x, grid.y)
+        for side, exact in [("inner", radius - 1.0), ("outer", 2.0 - radius)]:
+            assert np.max(np.abs(boundary_distance(grid, side, range(129)) - exact)) < 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(side=st.sampled_from(["inner", "outer"]), harmonic=st.integers(1, 16),
+           kind=st.sampled_from(["cos", "sin"]), amp=st.floats(0.0, 0.49),
+           ns=st.integers(9, 17), ntheta=st.integers(16, 48))
+    def test_projection_finds_the_nearest_point(self, side, harmonic, kind, amp, ns, ntheta):
+        # against the nearest of 2^14 curve points, refined by four Newton
+        # steps written in Cartesian form (none where f'' <= 0, as at a node
+        # on a centre of curvature): the distance is never farther than that
+        # point and agrees with its refinement, on every row
+        coeffs = {f"{kind}_coeffs": (0.0,) * (harmonic - 1) + (amp,)}
+        curves = {"inner": FourierCurve(c0=1.0), "outer": FourierCurve(c0=1.5)}
+        curves[side] = FourierCurve(c0=curves[side].c0, **coeffs)
+        grid = build_grid(DomainSpec(**curves), ns, ntheta)
+        curve = curves[side]
+        dense = np.arange(2**14) * (2 * np.pi / 2**14)
+        bx, by = curve.point(dense)
+        t, nearest = np.empty((ns, ntheta)), np.empty((ns, ntheta))
+        for i in range(ns):
+            d2 = (grid.x[i, :, None] - bx) ** 2 + (grid.y[i, :, None] - by) ** 2
+            t[i], nearest[i] = dense[np.argmin(d2, axis=1)], np.sqrt(np.min(d2, axis=1))
+        for _ in range(4):
+            rho, dp, ddp = curve.radius(t), curve.radius_prime(t), curve.radius_second(t)
+            cos_t, sin_t = np.cos(t), np.sin(t)
+            ex, ey = grid.x - rho * cos_t, grid.y - rho * sin_t
+            c1x, c1y = dp * cos_t - rho * sin_t, dp * sin_t + rho * cos_t
+            c2x = (ddp - rho) * cos_t - 2 * dp * sin_t
+            c2y = (ddp - rho) * sin_t + 2 * dp * cos_t
+            f2 = c1x * c1x + c1y * c1y - ex * c2x - ey * c2y
+            t = t + np.divide(ex * c1x + ey * c1y, f2, out=np.zeros_like(t), where=f2 > 0)
+        fx, fy = curve.point(t)
+        d = boundary_distance(grid, side, range(ns))
+        assert np.max(d - nearest) <= 1e-14
+        assert np.max(np.abs(d - np.hypot(grid.x - fx, grid.y - fy))) <= 1e-13
+
     @pytest.mark.parametrize("rows", [[-1], [17], [99], [0, 17]],
                              ids=["negative", "ns", "far", "one_of_two"])
     def test_rows_out_of_range_rejected(self, rows):
@@ -276,6 +318,15 @@ class TestExpansion:
         assert res.boundary == "inner"
         assert res.coefficient == pytest.approx(-1.0, abs=0.15)
         assert abs(res.neumann_mean) < 1e-3
+
+    def test_solved_degenerate_model_fits_the_exact_distance(self, model_d, monkeypatch):
+        # 8,192 curve samples once moved this coefficient by 1.3e-5 at 129^2
+        _, field, _ = solved(model_d, 129, 129)
+        coefficient = degenerate_expansion_check(field).coefficient
+        monkeypatch.setattr(verify_module, "boundary_distance",
+                            lambda grid, which, rows: np.hypot(grid.x, grid.y)[rows] - 1.0)
+        exact = degenerate_expansion_check(field).coefficient
+        assert coefficient == pytest.approx(exact, abs=1e-8)
 
 
 class TestFullReport:
