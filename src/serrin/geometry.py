@@ -97,7 +97,8 @@ class FourierCurve:
                               (self.sin_coeffs, _SIN_DERIVATIVES)):
             sign, f = rules[order]
             for n, v in enumerate(coeffs, start=1):
-                out += sign * v * n**order * f(n * th)
+                if v:  # a zero term adds +-0.0, which leaves out's bits as they are
+                    out += sign * v * n**order * f(n * th)
         return out
 
     def radius(self, theta):

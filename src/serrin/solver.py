@@ -24,9 +24,16 @@ solver on circles (Hockney 1965; Buzbee, Golub & Nielson 1970), used here as
 a separable preconditioner (Concus & Golub 1973).  The DFT is numpy's FFT,
 or a dense matrix product where ntheta has a large prime factor (257, 129 =
 3 * 43), at which the FFT falls back to Bluestein's slower algorithm; the
-choice depends on ntheta alone.  On circles the metric
-coefficients depend on s alone and the mixed terms vanish, so the
-preconditioner is the operator itself and GMRES stops after one iteration.
+choice depends on ntheta alone.
+
+GMRES starts from one line solve (the "J" of line relaxation; Trottenberg,
+Oosterlee & Schueller 2001, ch. 5): each equation's theta couplings are
+lumped into its own column, which leaves one tridiagonal system in s per
+theta column.  The lumped operator is the operator itself on theta-constant
+vectors.  On circles the metric coefficients depend on s alone and the
+mixed terms vanish, so with theta-constant data the start is the discrete
+solution and GMRES takes no iteration; off the circle it saves about two
+of the eight or so iterations of a mildly perturbed domain.
 Without the scaling the average would be dominated by the narrowest part of
 the annulus, where the radial coefficients grow like 1/gap, and the
 iteration count would grow as the boundaries approach each other.  With it
@@ -54,7 +61,7 @@ from .models import ModelParams, model_u
 # GMRES restart length, and the number of restart cycles, each ending in one
 # true-residual check, before the solve is declared failed (at most 600
 # iterations; the steepest boundaries measured, harmonic 16 at amplitude 0.49,
-# need ~210 at 257^2 and ~410 at 513^2).
+# need ~165 at 257^2 and ~335 at 513^2).
 _RESTART = 60
 _MAX_RESTARTS = 10
 
@@ -82,7 +89,8 @@ class SolveStats:
     ``residuals`` is the GMRES history of relative residual estimates, one
     per iteration, followed by the true relative residual ``residual``.
     ``seconds`` is the sum of the three stage times: assembly, the
-    preconditioner factorization (``setup_s``) and the iteration.
+    preconditioner factorization with the start (``setup_s``) and the
+    iteration.
     """
 
     unknowns: int
@@ -233,6 +241,60 @@ def _dense_dft(nt: int) -> Optional[np.ndarray]:
     return dft
 
 
+def _tridiagonal_solver(lower, pivot, upper):
+    """Factor the tridiagonal systems whose three bands are the columns of
+    ``lower``, ``pivot`` and ``upper``, all at once and in place: returns
+    the inverse pivots and ``solve(x)``, which overwrites ``x``, shaped as
+    the bands, with the solution of each column's system and returns it.
+
+    Row ``i`` of a band multiplies row ``i + di`` of the unknowns, ``di = -1,
+    0, 1``.  The first and last interior rows couple to the Dirichlet rows,
+    which are eliminated into the right-hand side, so ``lower[0]`` and
+    ``upper[-1]`` are never read.  Gaussian
+    elimination without pivoting (Golub & Van Loan, Matrix Computations,
+    4.3), over row views, so that each step of the factorization and of a
+    sweep is one multiply and one in-place update vectorised over the
+    columns.  ``solve`` reads the inverse pivots as returned, so a per-column
+    scale written into them in place scales its solution.  Zero or
+    non-finite pivots are left for the caller to detect.
+    """
+    lower_rows, pivot_rows, upper_rows = list(lower), list(pivot), list(upper)
+    for lo, piv, prev_piv, prev_up in zip(lower_rows[1:], pivot_rows[1:],
+                                          pivot_rows, upper_rows):
+        lo /= prev_piv
+        piv -= lo * prev_up
+    inv_pivot = 1.0 / pivot
+    upper *= inv_pivot
+
+    def solve(x):
+        rows = list(x)
+        for lo, prev, row in zip(lower_rows[1:], rows, rows[1:]):
+            row -= lo * prev
+        x *= inv_pivot
+        for up, nxt, row in zip(upper_rows[-2::-1], rows[::-1], rows[-2::-1]):
+            row -= up * nxt
+        return x
+
+    return inv_pivot, solve
+
+
+def _lumped_start(stencil, rhs):
+    """The start of the iteration: the solution of the operator with the
+    theta couplings of each row lumped, ``sum_dj stencil[di, dj]``, which
+    leaves one tridiagonal system in s per theta column (the line solve of
+    line relaxation; Trottenberg, Oosterlee & Schueller, Multigrid, 2001,
+    ch. 5).  The lumped operator equals the operator on theta-constant
+    vectors, so on circles with theta-constant data the start is the
+    discrete solution.  The bands are freed on return, before the
+    iteration allocates its basis.  A zero pivot gives a non-finite start,
+    which the iteration reports as a non-finite residual.
+    """
+    with np.errstate(all="ignore"):
+        _, solve = _tridiagonal_solver(*(sum(stencil[di, dj] for dj in (-1, 0, 1))
+                                         for di in (-1, 0, 1)))
+        return solve(rhs.reshape(stencil[0, 0].shape).copy()).ravel()
+
+
 def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of ``W^-1 avg(W L)``, as a function of a flattened
     interior vector: ``L`` is the operator of ``stencil``, ``W`` scales the
@@ -252,12 +314,10 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     leaves out ``irfft``'s per-mode weights, which are folded into the
     pivots, since a per-mode scale commutes with the per-mode elimination.
     The three bands are kept as ``(n_in, modes)`` arrays, the layout
-    ``rfft`` returns, and all modes are eliminated together, each row
-    operation vectorised over the modes: Gaussian elimination without
-    pivoting (Golub & Van Loan, Matrix Computations, 4.3) factors the bands
-    once, and each application makes one forward and one backward sweep
-    over the rows.  A zero or non-finite pivot raises
-    :class:`SolverFailureError`.
+    ``rfft`` returns, and all modes are eliminated together
+    (:func:`_tridiagonal_solver`): the bands are factored once, and each
+    application makes one forward and one backward sweep over the rows.  A
+    zero or non-finite pivot raises :class:`SolverFailureError`.
     """
     n_in, nt = stencil[0, 0].shape
     modes = np.arange(nt // 2 + 1)
@@ -266,22 +326,11 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
         # A column with a zero diagonal makes w, and so every pivot, non-finite.
         w = 1.0 / np.abs(stencil[0, 0]).mean(axis=0)
         avg = {key: coef @ w / nt for key, coef in stencil.items()}
-        # Row i of band di multiplies row i + di of the unknowns; the first and
-        # last interior rows couple to the Dirichlet rows, which are eliminated
-        # into the right-hand side, so lower[0] and upper[-1] are never read.
         lower, pivot, upper = (avg[di, 0][:, None] + np.outer(avg[di, 1], omega)
                                + np.outer(avg[di, -1], omega.conj()) for di in (-1, 0, 1))
-        # Row views, so that each step of the factorization and of a sweep is
-        # one multiply and one in-place update.
-        lower_rows, pivot_rows, upper_rows = list(lower), list(pivot), list(upper)
-        for lo, piv, prev_piv, prev_up in zip(lower_rows[1:], pivot_rows[1:],
-                                              pivot_rows, upper_rows):
-            lo /= prev_piv
-            piv -= lo * prev_up
-        inv_pivot = 1.0 / pivot
+        inv_pivot, solve = _tridiagonal_solver(lower, pivot, upper)
     if not np.all(np.isfinite(inv_pivot) & (pivot != 0)):
         raise SolverFailureError("the theta-averaged preconditioner is singular")
-    upper *= inv_pivot
     dft = _dense_dft(nt)
     if dft is not None:  # irfft's per-mode weights, which the dense inverse leaves out
         inv_pivot *= np.where((modes == 0) | (2 * modes == nt), 1.0, 2.0) / nt
@@ -289,23 +338,21 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     def apply(r):
         rw = r.reshape(n_in, nt) * w
         x_hat = np.fft.rfft(rw, axis=1) if dft is None else (rw @ dft).view(complex)
-        rows = list(x_hat)
-        for lo, prev, row in zip(lower_rows[1:], rows, rows[1:]):
-            row -= lo * prev
-        x_hat *= inv_pivot
-        for up, nxt, row in zip(upper_rows[-2::-1], rows[::-1], rows[-2::-1]):
-            row -= up * nxt
+        solve(x_hat)
         x = np.fft.irfft(x_hat, n=nt, axis=1) if dft is None else x_hat.view(float) @ dft.T
         return x.ravel()
 
     return apply
 
 
-def _gmres(operator, precondition, rhs, tol):
+def _gmres(operator, precondition, rhs, x0, tol):
     """Solve ``operator(x) = rhs`` by restarted GMRES (Saad & Schultz 1986),
-    preconditioned on the right: returns ``(x, residual, history)``, the
-    solution, its true relative residual ``|rhs - operator(x)| / |rhs|`` and
-    the residual estimates.
+    preconditioned on the right, from the start ``x0``, which is updated in
+    place: returns ``(x, residual, history)``, the solution, its true
+    relative residual ``|rhs - operator(x)| / |rhs|`` and the residual
+    estimates.  A start that meets ``tol`` is returned after 0 iterations.
+    A non-finite ``|rhs|`` makes every relative residual nan, so that the
+    solve fails rather than reading a finite residual over it as 0.
 
     Each cycle builds an orthonormal basis of the Krylov space of
     ``operator(precondition(.))`` started from the current residual, by two
@@ -320,13 +367,15 @@ def _gmres(operator, precondition, rhs, tol):
     ``_MAX_RESTARTS`` spent cycles raise :class:`SolverFailureError` carrying
     ``history`` followed by the last true residual.
     """
-    beta = float(np.linalg.norm(rhs))
-    scale = max(beta, 1e-300)
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    if not np.isfinite(scale):
+        scale = np.nan
     eps = np.finfo(float).eps
     history = []
     basis = np.empty((_RESTART + 1, rhs.size))
-    x = np.zeros(rhs.size)
-    r = rhs
+    x = x0
+    np.subtract(rhs, operator(x), out=basis[0])
+    beta = float(np.linalg.norm(basis[0]))
     residual = beta / scale
     cycles, breakdown = 0, False
     while not residual <= tol:
@@ -337,7 +386,7 @@ def _gmres(operator, precondition, rhs, tol):
                 residuals=history + [residual],
             )
         cycles += 1
-        basis[0] = r / beta
+        basis[0] /= beta
         tri = np.zeros((_RESTART, _RESTART))  # the rotated Hessenberg matrix
         cs, sn = [], []
         g = [beta]
@@ -375,8 +424,8 @@ def _gmres(operator, precondition, rhs, tol):
         for i in reversed(range(m)):
             y[i] = (g[i] - tri[i, i + 1:m] @ y[i + 1:]) / tri[i, i]
         x += precondition(y @ basis[:m])
-        r = rhs - operator(x)
-        beta = float(np.linalg.norm(r))
+        np.subtract(rhs, operator(x), out=basis[0])
+        beta = float(np.linalg.norm(basis[0]))
         residual = beta / scale
     return x, residual, history
 
@@ -436,8 +485,9 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
         rhs = rhs.ravel()
         t1 = time.perf_counter()
         precondition = _theta_averaged_inverse(stencil)
+        x0 = _lumped_start(stencil, rhs)
         t2 = time.perf_counter()
-        x, residual, history = _gmres(operator, precondition, rhs, opts.tol)
+        x, residual, history = _gmres(operator, precondition, rhs, x0, opts.tol)
     t3 = time.perf_counter()
 
     values = np.vstack([a_arr, x.reshape(ns - 2, nt), b_arr])

@@ -157,7 +157,7 @@ class TestSolve:
         cfg = write_cfg(tmp_path, "solve.json", payload)
         proc = run_main("solve", cfg)
         assert proc.returncode == 0
-        assert "iterations: 1\n" in proc.stdout  # circles: one GMRES iteration
+        assert "iterations: 0\n" in proc.stdout  # circles: the start is the solution
         lines = out.read_text().splitlines()
         assert lines[1].split()[:2] == ["17", "32"]
         assert len(lines) == 3 + 17 * 32
@@ -317,7 +317,7 @@ class TestVerify:
         assert stages[:3] == ["fit", "grid", "solve"] and stages[-1] == "expansion"
         solver = dict(item.split("=") for item in extra[-1].split()[1:])
         assert set(solver) == {"iterations", "assemble_s", "setup_s", "solve_s"}
-        assert solver["iterations"] == "1"  # circles
+        assert solver["iterations"] == "0"  # circles
 
     @pytest.mark.parametrize("data, blocks, stages", [
         ({"model_params": {"L": 0.0, "M": 1.0, "r_i": 1.2, "r_o": 2.0}},

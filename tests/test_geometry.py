@@ -65,6 +65,18 @@ class TestFourierCurve:
         assert np.array_equal(c.radius_prime(th), dr)
         assert c.radius_second(th) == pytest.approx(ddr, rel=1e-14, abs=1e-15)
 
+    def test_zero_padding_keeps_the_bytes(self):
+        # Zero coefficients are skipped, which must not move a bit: the same
+        # curve with its tuples padded by zeros to the degree cap, and with a
+        # zero between its terms, evaluates to the same bytes at every order.
+        th = np.r_[0.0, -np.pi, np.linspace(-3.0, 9.0, 301)]
+        cos_coeffs, sin_coeffs = (0.1, 0.0, -0.03), (-0.05, 0.0, 0.0, 0.004)
+        plain = FourierCurve(c0=1.0, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
+        padded = FourierCurve(c0=1.0, cos_coeffs=cos_coeffs + (0.0,) * 13,
+                              sin_coeffs=sin_coeffs + (-0.0,) * 12)
+        for order in ("radius", "radius_prime", "radius_second"):
+            assert getattr(plain, order)(th).tobytes() == getattr(padded, order)(th).tobytes()
+
     def test_degree_cap(self):
         with pytest.raises(InvalidDomainError):
             FourierCurve(c0=1.0, cos_coeffs=(0.0,) * 17)

@@ -105,6 +105,21 @@ class TestSolve:
             solve_dirichlet(g, -2.0, 1e308, -1e308)
         assert np.isnan(info.value.residuals).tolist() == [True]  # after 0 iterations
 
+    def test_overflowing_rhs_norm_fails_without_a_warning(self):
+        # A finite right-hand side whose norm overflows: the start solves the
+        # system to a finite residual, which over an infinite norm would read
+        # 0, so every relative residual is nan instead and the solve fails.
+        g = build_grid(DomainSpec.circles(1.0, 1.5), 17, 16)
+        with pytest.raises(SolverFailureError, match="relative residual nan") as info:
+            solve_dirichlet(g, -2.0, 1e152, 1e152)
+        assert np.isnan(info.value.residuals).tolist() == [True]
+
+    def test_non_finite_start_fails_as_nan(self):
+        identity = np.copy
+        with pytest.raises(SolverFailureError, match="relative residual nan") as info:
+            solver_module._gmres(identity, identity, np.ones(4), np.full(4, np.nan), 1e-11)
+        assert np.isnan(info.value.residuals).tolist() == [True]
+
     def test_second_order_on_model(self, model_a, data_a):
         spec = DomainSpec.circles(model_a.r_i, model_a.r_o)
         errs = []
@@ -143,19 +158,12 @@ class TestSolve:
             exact = manufactured_field("saddle", model_a)
             ue = exact.fn(g.x, g.y)
             f, inner, outer = exact.rhs, ue[0], ue[-1]
-        seen = {}
-        gmres = solver_module._gmres
-
-        def recording(operator, precondition, rhs, tol):
-            seen["rhs"] = rhs.copy()
-            return gmres(operator, precondition, rhs, tol)
-
-        monkeypatch.setattr(solver_module, "_gmres", recording)
+        seen = _recorded_starts(monkeypatch)
         solve_dirichlet(g, f, inner, outer)
         boundary = np.zeros((g.ns, g.ntheta))
         boundary[0], boundary[-1] = inner, outer
         full = g.jac[1:-1] * f - solver_module._apply(solver_module._stencil(g), boundary)
-        assert seen["rhs"].tobytes() == full.ravel().tobytes()
+        assert seen[-1][1].tobytes() == full.ravel().tobytes()
 
     def test_singular_factor_raises_solver_failure(self, monkeypatch):
         # A zero operator: GMRES breaks down at once and x = 0 is left, whose
@@ -195,13 +203,18 @@ class TestSolve:
         assert all(t >= 0 for t in stages)
         assert stats.seconds == pytest.approx(sum(stages))
 
-    def test_circles_take_one_iteration(self, data_a):
-        # On circles the theta-averaged preconditioner is the operator itself.
-        for n in (33, 65, 129):
-            g = build_grid(DomainSpec.circles(1.0, 1.5), n, n)
-            _, stats = solve_dirichlet(g, -2.0, data_a.a, data_a.b)
-            assert stats.iterations == 1
-            assert stats.residual <= 1e-11
+    def test_circles_take_no_iteration(self, data_a, data_c, model_c, monkeypatch):
+        # On circles the lumped start is the discrete solution: it meets tol
+        # alone, on the dense-DFT sizes and on the FFT ones.
+        seen = _recorded_starts(monkeypatch)
+        cases = [(DomainSpec.circles(1.0, 1.5), data_a),
+                 (DomainSpec.circles(model_c.r_i, model_c.r_o), data_c)]
+        for spec, data in cases:
+            for ns, nt in ((33, 33), (65, 64), (129, 129), (257, 256), (257, 257)):
+                _, stats = solve_dirichlet(build_grid(spec, ns, nt), -2.0, data.a, data.b)
+                assert _relative_residual(*seen[-1]) <= SolveOptions().tol
+                assert stats.iterations == 0
+                assert stats.residual <= 1e-11
 
     def test_iterations_independent_of_grid(self, data_a):
         spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0, 0.0, 0.05)),
@@ -220,8 +233,8 @@ class TestSolve:
         # inner 1 + amp cos k theta comes within 0.5 - amp of the outer circle.
         # The scaling before the theta average keeps the narrow part of the
         # annulus from dominating, so a gap of 0.001 costs no more than one of
-        # 0.05 (about 40 iterations); harmonic 16 at 0.49 is the steepest
-        # boundary measured (about 100 iterations here, 210 at 257^2 and 410
+        # 0.05 (about 35 iterations); harmonic 16 at 0.49 is the steepest
+        # boundary measured (about 90 iterations here, 165 at 257^2 and 335
         # at 513^2).
         spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * (k - 1) + (amp,)),
                           outer=FourierCurve(c0=1.5))
@@ -337,6 +350,61 @@ class TestPreconditioner:
             solver_module._theta_averaged_inverse(stencil)
 
 
+def _recorded_starts(monkeypatch):
+    """Make each solve append its ``(operator, rhs, start)`` to the returned
+    list, the start copied before GMRES updates it (GMRES does not write
+    into ``rhs``)."""
+    seen = []
+    gmres = solver_module._gmres
+
+    def recording(operator, precondition, rhs, x0, tol):
+        seen.append((operator, rhs, x0.copy()))
+        return gmres(operator, precondition, rhs, x0, tol)
+
+    monkeypatch.setattr(solver_module, "_gmres", recording)
+    return seen
+
+
+def _relative_residual(operator, rhs, x):
+    return np.linalg.norm(rhs - operator(x)) / np.linalg.norm(rhs)
+
+
+# One inner or outer harmonic, 1 to 16, at amplitude up to 0.49 between the
+# circles 1 and 1.5.
+_ONE_HARMONIC = st.builds(
+    lambda k, amp, key, side: DomainSpec(**{
+        "inner": FourierCurve(c0=1.0), "outer": FourierCurve(c0=1.5),
+        side: FourierCurve(c0=1.0 if side == "inner" else 1.5, **{key: (0.0,) * (k - 1) + (amp,)}),
+    }),
+    st.integers(1, 16), st.floats(0.0, 0.49), st.sampled_from(["cos_coeffs", "sin_coeffs"]),
+    st.sampled_from(["inner", "outer"]),
+)
+
+
+class TestLumpedStart:
+    def test_solves_the_lumped_system(self):
+        # Column j of the start solves the tridiagonal system whose bands are
+        # the stencil's rows summed over dj, here on a perturbed domain.
+        stencil = solver_module._stencil(build_grid(wavy_domain(), 12, 16))
+        rhs = np.random.default_rng(3).standard_normal((10, 16))
+        x = solver_module._lumped_start(stencil, rhs.ravel()).reshape(10, 16)
+        bands = {di: sum(stencil[di, dj] for dj in (-1, 0, 1)) for di in (-1, 0, 1)}
+        for j in range(16):
+            dense = (np.diag(bands[0][:, j]) + np.diag(bands[1][:-1, j], 1)
+                     + np.diag(bands[-1][1:, j], -1))
+            expected = np.linalg.solve(dense, rhs[:, j])
+            assert np.allclose(x[:, j], expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_ONE_HARMONIC, sizes=st.tuples(st.integers(9, 65), st.integers(16, 128)))
+    def test_start_is_finite_and_the_solve_meets_tol(self, data_a, spec, sizes):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _recorded_starts(mp)
+            _, stats = solve_dirichlet(build_grid(spec, *sizes), -2.0, data_a.a, data_a.b)
+        assert np.all(np.isfinite(seen[-1][2]))
+        assert stats.residual <= SolveOptions().tol
+
+
 def _inner_harmonic(k, amp):
     return DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * (k - 1) + (amp,)),
                       outer=FourierCurve(c0=1.5))
@@ -368,8 +436,9 @@ class TestStencil:
     @settings(max_examples=40, deadline=None)
     @given(spec=_EDGE_CIRCLES, sizes=_GRID_SIZES)
     def test_circles_are_theta_invariant_without_mixed_terms(self, spec, sizes):
-        # Why GMRES takes one iteration on circles: the theta-averaged
-        # preconditioner is then the operator itself.
+        # Why GMRES takes no iteration on circles: the theta-lumped start
+        # is then the discrete solution (and the theta-averaged
+        # preconditioner the operator itself).
         stencil = solver_module._stencil(build_grid(spec, *sizes))
         for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             assert np.all(stencil[di, dj] == 0)
