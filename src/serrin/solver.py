@@ -21,10 +21,19 @@ then each of the nine stencil coefficients is replaced by its mean over
 theta.  That operator is circulant in theta, so a real DFT in theta splits
 it into one tridiagonal system in s per Fourier mode -- the fast Poisson
 solver on circles (Hockney 1965; Buzbee, Golub & Nielson 1970), used here as
-a separable preconditioner (Concus & Golub 1973).  The DFT is numpy's FFT,
-or a dense matrix product where ntheta has a large prime factor (257, 129 =
-3 * 43), at which the FFT falls back to Bluestein's slower algorithm; the
-choice depends on ntheta alone.
+a separable preconditioner (Concus & Golub 1973).  The DFT pair is numpy's
+rfft and irfft, or, where ntheta has a large prime factor (257, 129 = 3 *
+43) and the FFT falls back to Bluestein's slower algorithm, one dense matrix
+product each way, whose inverse matrix carries irfft's per-mode weights; the
+choice depends on ntheta alone.  One pivot-free tridiagonal elimination
+serves the modes here and the theta columns of the start below, and it is
+the one place a singular line system raises.
+
+Without the scaling the average would be dominated by the narrowest part of
+the annulus, where the radial coefficients grow like 1/gap, and the
+iteration count would grow as the boundaries approach each other.  With it
+the count does not depend on the gap; it grows with the boundary slope, and
+for steep boundaries also with the grid.
 
 GMRES starts from one line solve (the "J" of line relaxation; Trottenberg,
 Oosterlee & Schueller 2001, ch. 5): each equation's theta couplings are
@@ -34,11 +43,6 @@ vectors.  On circles the metric coefficients depend on s alone and the
 mixed terms vanish, so with theta-constant data the start is the discrete
 solution and GMRES takes no iteration; off the circle it saves about two
 of the eight or so iterations of a mildly perturbed domain.
-Without the scaling the average would be dominated by the narrowest part of
-the annulus, where the radial coefficients grow like 1/gap, and the
-iteration count would grow as the boundaries approach each other.  With it
-the count does not depend on the gap; it grows with the boundary slope, and
-for steep boundaries also with the grid.
 
 The GMRES iteration and the tridiagonal sweeps are a few dozen lines of
 numpy each, so the solver, like the rest of the package, needs numpy alone.
@@ -61,7 +65,7 @@ from .models import ModelParams, model_u
 # GMRES restart length, and the number of restart cycles, each ending in one
 # true-residual check, before the solve is declared failed (at most 600
 # iterations; the steepest boundaries measured, harmonic 16 at amplitude 0.49,
-# need ~165 at 257^2 and ~335 at 513^2).
+# need 165 at 257^2 and 333 at 513^2).
 _RESTART = 60
 _MAX_RESTARTS = 10
 
@@ -202,19 +206,12 @@ def _apply(stencil, u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _dense_dft(nt: int) -> Optional[np.ndarray]:
-    """The real ``(nt, 2 m)`` matrix ``D`` of the length-``nt`` real DFT,
-    ``m = nt // 2 + 1``, or None where ``numpy.fft`` is the faster transform.
-    The matrix is built once per ``nt`` and shared, so it is read-only.
-
-    ``(x @ D).view(complex)`` is ``numpy.fft.rfft(x, axis=1)`` and
-    ``x_hat.view(float) @ D.T`` is ``numpy.fft.irfft(x_hat, nt, axis=1)``
-    without its per-mode weights: ``1 / nt`` on mode 0 and on the Nyquist
-    mode of an even ``nt``, ``2 / nt`` on the paired modes.  Column ``2 k``
-    holds ``cos(2 pi j k / nt)`` and column ``2 k + 1`` ``-sin(2 pi j k /
-    nt)``, both read from one table of the ``nt`` roots of unity at ``j k mod
-    nt``; the Nyquist sine column is exactly 0, so, as in ``irfft``, the
-    imaginary part of that mode is ignored.
+def _theta_transform(nt: int):
+    """The exact real DFT pair along axis 1 of length ``nt``, ``(forward,
+    inverse)``, built once per ``nt``: ``forward(x)`` is ``numpy.fft.rfft(x,
+    axis=1)`` and ``inverse(x_hat)`` is ``numpy.fft.irfft(x_hat, nt,
+    axis=1)``, which ignores the imaginary parts of mode 0 and of the Nyquist
+    mode of an even ``nt``.
 
     pocketfft costs ``O(nt log nt)`` only for lengths with small prime
     factors: a length with a large prime factor ``p`` goes through
@@ -223,7 +220,13 @@ def _dense_dft(nt: int) -> Optional[np.ndarray]:
     thread, the dense pair was the faster one at 65 = 5 * 13, 129 = 3 * 43,
     257, 401 and 449, and the slower one at 128, 256, 289 = 17^2, 301 = 7 *
     43, 513 = 3^3 * 19 and 1025; ``nt <= 5 p`` and ``nt <= 450`` separate
-    the two sets.
+    the two sets, and there the pair is ``(x @ D).view(complex)`` and
+    ``x_hat.view(float) @ E``.  Column ``2 k`` of the read-only ``(nt, 2
+    m)`` matrix ``D``, ``m = nt // 2 + 1``, holds ``cos(2 pi j k / nt)`` and
+    column ``2 k + 1`` ``-sin(2 pi j k / nt)``, both read from one table of
+    the ``nt`` roots of unity at ``j k mod nt``; the Nyquist sine column is
+    exactly 0.  ``E`` is ``D.T`` with ``irfft``'s per-mode weights, ``1 /
+    nt`` on mode 0 and on the Nyquist mode, ``2 / nt`` on the paired modes.
     """
     # Trial division: p is the largest factor divided out, n what is left (1
     # or a prime), so the largest prime factor is max(p, n).
@@ -232,20 +235,24 @@ def _dense_dft(nt: int) -> Optional[np.ndarray]:
         while n % f == 0:
             n, p = n // f, f
     if nt > min(5 * max(p, n), 450):
-        return None
+        return (functools.partial(np.fft.rfft, axis=1),
+                functools.partial(np.fft.irfft, n=nt, axis=1))
     q = np.arange(nt)
-    dft = np.exp(-2j * np.pi / nt * q)[np.outer(q, q[:nt // 2 + 1]) % nt].view(float)
+    modes = q[:nt // 2 + 1]
+    dft = np.exp(-2j * np.pi / nt * q)[np.outer(q, modes) % nt].view(float)
     if nt % 2 == 0:
         dft[:, -1] = 0.0
-    dft.flags.writeable = False
-    return dft
+    weights = np.where((modes == 0) | (2 * modes == nt), 1.0, 2.0) / nt
+    inv = (dft * np.repeat(weights, 2)).T  # F-ordered, as dft.T
+    dft.flags.writeable = inv.flags.writeable = False
+    return (lambda x: (x @ dft).view(complex)), (lambda x_hat: x_hat.view(float) @ inv)
 
 
 def _tridiagonal_solver(lower, pivot, upper):
     """Factor the tridiagonal systems whose three bands are the columns of
     ``lower``, ``pivot`` and ``upper``, all at once and in place: returns
-    the inverse pivots and ``solve(x)``, which overwrites ``x``, shaped as
-    the bands, with the solution of each column's system and returns it.
+    ``solve(x)``, which overwrites ``x``, shaped as the bands, with the
+    solution of each column's system and returns it.
 
     Row ``i`` of a band multiplies row ``i + di`` of the unknowns, ``di = -1,
     0, 1``.  The first and last interior rows couple to the Dirichlet rows,
@@ -254,17 +261,19 @@ def _tridiagonal_solver(lower, pivot, upper):
     elimination without pivoting (Golub & Van Loan, Matrix Computations,
     4.3), over row views, so that each step of the factorization and of a
     sweep is one multiply and one in-place update vectorised over the
-    columns.  ``solve`` reads the inverse pivots as returned, so a per-column
-    scale written into them in place scales its solution.  Zero or
-    non-finite pivots are left for the caller to detect.
+    columns.  Unless every pivot and every inverse pivot is finite (a zero,
+    an overflowing or a nan pivot), :class:`SolverFailureError` is raised.
     """
     lower_rows, pivot_rows, upper_rows = list(lower), list(pivot), list(upper)
-    for lo, piv, prev_piv, prev_up in zip(lower_rows[1:], pivot_rows[1:],
-                                          pivot_rows, upper_rows):
-        lo /= prev_piv
-        piv -= lo * prev_up
-    inv_pivot = 1.0 / pivot
-    upper *= inv_pivot
+    with np.errstate(all="ignore"):
+        for lo, piv, prev_piv, prev_up in zip(lower_rows[1:], pivot_rows[1:],
+                                              pivot_rows, upper_rows):
+            lo /= prev_piv
+            piv -= lo * prev_up
+        inv_pivot = 1.0 / pivot
+        upper *= inv_pivot
+    if not np.all(np.isfinite(pivot) & np.isfinite(inv_pivot)):
+        raise SolverFailureError("singular tridiagonal line system")
 
     def solve(x):
         rows = list(x)
@@ -275,7 +284,7 @@ def _tridiagonal_solver(lower, pivot, upper):
             row -= up * nxt
         return x
 
-    return inv_pivot, solve
+    return solve
 
 
 def _lumped_start(stencil, rhs):
@@ -286,13 +295,11 @@ def _lumped_start(stencil, rhs):
     ch. 5).  The lumped operator equals the operator on theta-constant
     vectors, so on circles with theta-constant data the start is the
     discrete solution.  The bands are freed on return, before the
-    iteration allocates its basis.  A zero pivot gives a non-finite start,
-    which the iteration reports as a non-finite residual.
+    iteration allocates its basis.
     """
-    with np.errstate(all="ignore"):
-        _, solve = _tridiagonal_solver(*(sum(stencil[di, dj] for dj in (-1, 0, 1))
-                                         for di in (-1, 0, 1)))
-        return solve(rhs.reshape(stencil[0, 0].shape).copy()).ravel()
+    solve = _tridiagonal_solver(*(sum(stencil[di, dj] for dj in (-1, 0, 1))
+                                  for di in (-1, 0, 1)))
+    return solve(rhs.reshape(stencil[0, 0].shape).copy()).ravel()
 
 
 def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
@@ -303,46 +310,28 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
 
     ``avg(W L)`` is circulant in theta.  Each of its nine averages is one
     matrix-vector product, ``coef @ w / ntheta``.  With the real DFT along
-    theta, a shift by ``dj`` nodes multiplies mode ``k`` by
-    ``omega_k**dj``, ``omega_k = exp(2 pi i k / ntheta)``, so each band is
-    its ``dj = 0`` average plus the outer products of the ``dj = 1`` and
-    ``dj = -1`` averages with ``omega`` and its conjugate, and one
-    tridiagonal system in s is left per mode.  The transform is chosen from
-    ``ntheta`` alone (:func:`_dense_dft`, whose matrix is built once per
-    ``ntheta``): ``numpy.fft.rfft``/``irfft``, or one dense matrix product
-    each way where ``ntheta`` has a large prime factor; the dense inverse
-    leaves out ``irfft``'s per-mode weights, which are folded into the
-    pivots, since a per-mode scale commutes with the per-mode elimination.
-    The three bands are kept as ``(n_in, modes)`` arrays, the layout
-    ``rfft`` returns, and all modes are eliminated together
-    (:func:`_tridiagonal_solver`): the bands are factored once, and each
-    application makes one forward and one backward sweep over the rows.  A
-    zero or non-finite pivot raises :class:`SolverFailureError`.
+    theta (:func:`_theta_transform`), a shift by ``dj`` nodes multiplies
+    mode ``k`` by ``omega_k**dj``, ``omega_k = exp(2 pi i k / ntheta)``, so
+    each band is its ``dj = 0`` average plus the outer products of the ``dj
+    = 1`` and ``dj = -1`` averages with ``omega`` and its conjugate, and one
+    tridiagonal system in s is left per mode.  The three bands are kept as
+    ``(n_in, modes)`` arrays, the layout ``rfft`` returns, and all modes are
+    eliminated together (:func:`_tridiagonal_solver`, which raises on a
+    singular system): the bands are factored once, and each application is
+    one forward transform, one forward and one backward sweep over the rows,
+    and one inverse transform.
     """
     n_in, nt = stencil[0, 0].shape
-    modes = np.arange(nt // 2 + 1)
-    omega = np.exp(2j * np.pi * modes / nt)
+    omega = np.exp(2j * np.pi * np.arange(nt // 2 + 1) / nt)
     with np.errstate(all="ignore"):
         # A column with a zero diagonal makes w, and so every pivot, non-finite.
         w = 1.0 / np.abs(stencil[0, 0]).mean(axis=0)
         avg = {key: coef @ w / nt for key, coef in stencil.items()}
-        lower, pivot, upper = (avg[di, 0][:, None] + np.outer(avg[di, 1], omega)
-                               + np.outer(avg[di, -1], omega.conj()) for di in (-1, 0, 1))
-        inv_pivot, solve = _tridiagonal_solver(lower, pivot, upper)
-    if not np.all(np.isfinite(inv_pivot) & (pivot != 0)):
-        raise SolverFailureError("the theta-averaged preconditioner is singular")
-    dft = _dense_dft(nt)
-    if dft is not None:  # irfft's per-mode weights, which the dense inverse leaves out
-        inv_pivot *= np.where((modes == 0) | (2 * modes == nt), 1.0, 2.0) / nt
-
-    def apply(r):
-        rw = r.reshape(n_in, nt) * w
-        x_hat = np.fft.rfft(rw, axis=1) if dft is None else (rw @ dft).view(complex)
-        solve(x_hat)
-        x = np.fft.irfft(x_hat, n=nt, axis=1) if dft is None else x_hat.view(float) @ dft.T
-        return x.ravel()
-
-    return apply
+        solve = _tridiagonal_solver(*(avg[di, 0][:, None] + np.outer(avg[di, 1], omega)
+                                      + np.outer(avg[di, -1], omega.conj())
+                                      for di in (-1, 0, 1)))
+    forward, inverse = _theta_transform(nt)
+    return lambda r: inverse(solve(forward(r.reshape(n_in, nt) * w))).ravel()
 
 
 def _gmres(operator, precondition, rhs, x0, tol):

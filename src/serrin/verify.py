@@ -348,12 +348,15 @@ def refined_pohozaev_check(field: ScalarField, params: ModelParams
 def boundary_distance(grid: CurvGrid, which: str, rows):
     """Distance from grid nodes to one boundary curve, shaped ``(len(rows), ntheta)``.
 
-    ``which`` is ``"inner"`` or ``"outer"``; ``rows`` selects grid rows, each an integer
-    in ``[0, ns)``.  Each node ``p`` starts at the nearest curve point at every second
-    :data:`~serrin.geometry.CURVE_ANGLES` and takes four Newton steps on its foot's
-    polar angle ``t`` for ``f = |p - curve(t)|^2 / 2``, none where ``f'' <= 0``."""
+    ``which`` is ``"inner"`` or ``"outer"``; ``rows``, a one-dimensional sequence,
+    selects grid rows, each an integer in ``[0, ns)``.  Each node ``p`` starts at the
+    nearest curve point at every second :data:`~serrin.geometry.CURVE_ANGLES` and
+    takes four Newton steps on its foot's polar angle ``t`` for ``f = |p - curve(t)|^2
+    / 2``, none where ``f'' <= 0``."""
     curve = grid.spec.curve(which)
     rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 1:
+        raise InvalidInputError("rows must be a one-dimensional sequence")
     if not np.all(rows == np.floor(rows)):  # NaN fails too
         raise InvalidInputError("rows must be integers")
     if np.any((rows < 0) | (rows >= grid.ns)):

@@ -234,8 +234,8 @@ class TestSolve:
         # The scaling before the theta average keeps the narrow part of the
         # annulus from dominating, so a gap of 0.001 costs no more than one of
         # 0.05 (about 35 iterations); harmonic 16 at 0.49 is the steepest
-        # boundary measured (about 90 iterations here, 165 at 257^2 and 335
-        # at 513^2).
+        # boundary measured (89 iterations here, 165 at 257^2 and 333 at
+        # 513^2).
         spec = DomainSpec(inner=FourierCurve(c0=1.0, cos_coeffs=(0.0,) * (k - 1) + (amp,)),
                           outer=FourierCurve(c0=1.5))
         _, stats = solve_dirichlet(build_grid(spec, 129, 129), -2.0, data_a.a, data_a.b)
@@ -311,34 +311,63 @@ class TestPreconditioner:
         got = solver_module._theta_averaged_inverse(stencil)(r)
         assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
 
-    def test_dense_dft_is_chosen_by_size_and_matches_numpy_fft(self):
+    # 17 and 26 transform with the dense pair, 16 and 27 with the FFT.
+    @pytest.mark.parametrize("nt", [17, 26, 16, 27],
+                             ids=["dense_odd", "dense_even", "fft_even", "fft_odd"])
+    def test_theta_transform_is_an_exact_real_dft_pair(self, nt):
+        forward, inverse = solver_module._theta_transform(nt)
+        rng = np.random.default_rng(nt)
+        m = nt // 2 + 1
+        x = rng.standard_normal((3, nt))
+        x_hat = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        rfft, irfft = np.fft.rfft(x, axis=1), np.fft.irfft(x_hat, nt, axis=1)
+        assert np.linalg.norm(forward(x) - rfft) <= 1e-13 * np.linalg.norm(rfft)
+        assert np.linalg.norm(inverse(x_hat) - irfft) <= 1e-13 * np.linalg.norm(irfft)
+        assert np.linalg.norm(inverse(forward(x)) - x) <= 1e-13 * np.linalg.norm(x)
+        # As irfft does, the inverse ignores the imaginary parts of mode 0 and
+        # of the Nyquist mode exactly.
+        unpaired = x_hat.copy()
+        unpaired[:, 0] += 1j
+        if nt % 2 == 0:
+            unpaired[:, -1] += 1j
+        assert np.array_equal(inverse(unpaired), inverse(x_hat))
+
+    def test_theta_transform_is_chosen_by_size(self):
         # Dense where ntheta <= min(5 p, 450), p its largest prime factor.
         dense = {n for n in (17, 26, 33, 64, 65, 128, 129, 256, 257, 289, 301, 449, 513, 1025)
-                 if solver_module._dense_dft(n) is not None}
+                 if getattr(solver_module._theta_transform(n)[0], "func", None) is not np.fft.rfft}
         assert dense == {17, 26, 33, 65, 129, 257, 449}
-        rng = np.random.default_rng(0)
-        for nt in (17, 26):
-            dft, modes = solver_module._dense_dft(nt), np.arange(nt // 2 + 1)
-            x = rng.standard_normal((3, nt))
-            x_hat = rng.standard_normal((3, modes.size)) + 1j * rng.standard_normal((3, modes.size))
-            unpaired = (modes == 0) | (2 * modes == nt)
-            weights = np.where(unpaired, 1.0, 2.0) / nt
-            forward, rfft = (x @ dft).view(complex), np.fft.rfft(x, axis=1)
-            inverse, irfft = (x_hat * weights).view(float) @ dft.T, np.fft.irfft(x_hat, nt, axis=1)
-            assert np.linalg.norm(forward - rfft) <= 1e-13 * np.linalg.norm(rfft)
-            assert np.linalg.norm(inverse - irfft) <= 1e-13 * np.linalg.norm(irfft)
-            # As irfft does, the inverse ignores the imaginary parts of the
-            # unpaired modes exactly.
-            x_hat[:, unpaired] += 1j
-            assert np.array_equal((x_hat * weights).view(float) @ dft.T, inverse)
 
-    def test_dense_dft_is_built_once_per_size(self):
-        dft = solver_module._dense_dft(257)
-        assert solver_module._dense_dft(257) is dft
-        assert not dft.flags.writeable
-        with pytest.raises(ValueError):
-            dft[0, 0] = 0.0
-        assert solver_module._dense_dft(256) is None
+    def test_theta_transform_is_built_once_per_size(self):
+        pair = solver_module._theta_transform(257)
+        assert solver_module._theta_transform(257) is pair
+        dft, inv = (cell.cell_contents for f in pair for cell in f.__closure__)
+        assert inv.shape == dft.T.shape and inv.flags.f_contiguous
+        for matrix in (dft, inv):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["columns", "modes"])
+    @pytest.mark.parametrize("bad", [0.0, np.inf, -np.inf, np.nan],
+                             ids=["zero", "inf", "-inf", "nan"])
+    def test_tridiagonal_solver_raises_on_a_singular_pivot(self, dtype, bad):
+        # Diagonally dominant bands, one of whose first pivots is bad: an
+        # infinite pivot has a finite inverse, 0, and is caught by itself.
+        lower, upper = np.ones((3, 4), dtype), np.ones((3, 4), dtype)
+        pivot = np.full((3, 4), 4.0, dtype)
+        pivot[0, 2] = bad
+        with pytest.raises(SolverFailureError, match="singular"):
+            solver_module._tridiagonal_solver(lower, pivot, upper)
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["columns", "modes"])
+    def test_tridiagonal_solver_raises_on_an_overflowing_pivot(self, dtype):
+        # Pivots (1e-300, 1, 1) and off-diagonals 1e300: the second pivot
+        # overflows to -inf, whose inverse is -0, and a sweep would give nan.
+        lower, upper = np.full((3, 2), 1e300, dtype), np.full((3, 2), 1e300, dtype)
+        pivot = np.array([[1e-300] * 2, [1.0] * 2, [1.0] * 2], dtype)
+        with pytest.raises(SolverFailureError, match="singular"):
+            solver_module._tridiagonal_solver(lower, pivot, upper)
 
     def test_zero_pivot_raises_solver_failure(self):
         # Two rows whose averaged system is [[1, 1], [1, 1]] in every mode:
@@ -382,6 +411,14 @@ _ONE_HARMONIC = st.builds(
 
 
 class TestLumpedStart:
+    def test_zero_pivot_raises_solver_failure(self):
+        # Lumped bands [[1, 1], [1, 1]] in every column: the second pivot is 0.
+        ones, zeros = np.ones((2, 4)), np.zeros((2, 4))
+        stencil = {(di, dj): ones if dj == 0 else zeros
+                   for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        with pytest.raises(SolverFailureError, match="singular"):
+            solver_module._lumped_start(stencil, np.ones(8))
+
     def test_solves_the_lumped_system(self):
         # Column j of the start solves the tridiagonal system whose bands are
         # the stencil's rows summed over dj, here on a perturbed domain.

@@ -184,6 +184,19 @@ class TestDivergenceIdentity:
         assert res.excluded_nodes == 64
         assert abs(res.residual) <= 0.05
 
+    def test_outer_degenerate_exact_annulus_passes_at_257(self):
+        # r_o = sqrt(M): the outer slope is exactly 0 on an exact annulus.
+        # The residual is first order in ns here (-1.78e-2 at 65 x 64, which
+        # fails the 1e-2 gate, then -8.96e-3, -4.49e-3, -2.24e-3 at 129, 257
+        # and 513), where model A's is second order; at 257 x 256 every gated
+        # check passes.
+        p = ModelParams(L=0.0, M=2.25, r_i=1.0, r_o=1.5)
+        report = full_report(DomainSpec.circles(1.0, 1.5), boundary_data_of(p), 257, 256)
+        checks, ok = evaluate_checks(report)
+        assert report.divergence.outer_limit_used
+        assert "div_identity_res" in {c.name for c in checks}
+        assert ok and all(c.passed for c in checks if c.gated)
+
 
 class TestRefinedIdentity:
     @pytest.mark.parametrize("key", ["b", "c"])
@@ -277,6 +290,14 @@ class TestBoundaryDistance:
         # [1.7] was once read as row 1
         grid = build_grid(DomainSpec.circles(1.0, 2.0), 17, 32)
         with pytest.raises(InvalidInputError, match="rows must be integers"):
+            boundary_distance(grid, "inner", rows=rows)
+
+    @pytest.mark.parametrize("rows", [3, [[0, 1]]], ids=["scalar", "two_dimensional"])
+    def test_rows_not_one_dimensional_rejected(self, rows):
+        # a scalar once raised numpy's IndexError, a nested list a broadcast
+        # ValueError from the seed search
+        grid = build_grid(DomainSpec.circles(1.0, 2.0), 17, 32)
+        with pytest.raises(InvalidInputError, match="one-dimensional"):
             boundary_distance(grid, "inner", rows=rows)
 
 
