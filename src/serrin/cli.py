@@ -2,8 +2,8 @@
 
 Scenarios are JSON files; see the README for the schema.  Exit codes:
 0 success, 1 a gated verification check failed, 2 invalid input or
-configuration or an output file that cannot be written, 3 boundary data in
-the unproven regime, 4 numerical failure.
+configuration, an output file that cannot be written or a grid too large for
+memory, 3 boundary data in the unproven regime, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -355,6 +355,9 @@ def main(argv=None) -> int:
         return e.exit_code
     except OSError as e:  # an output that cannot be written (config reads raise ConfigError)
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a grid too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

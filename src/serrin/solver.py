@@ -24,10 +24,10 @@ solver on circles (Hockney 1965; Buzbee, Golub & Nielson 1970), used here as
 a separable preconditioner (Concus & Golub 1973).  The DFT pair is numpy's
 rfft and irfft, or, where ntheta has a large prime factor (257, 129 = 3 *
 43) and the FFT falls back to Bluestein's slower algorithm, one dense matrix
-product each way, whose inverse matrix carries irfft's per-mode weights; the
-choice depends on ntheta alone.  One pivot-free tridiagonal elimination
-serves the modes here and the theta columns of the start below, and it is
-the one place a singular line system raises.
+product each way, the matrices being rfft and irfft applied once to identity
+blocks; the choice depends on ntheta alone.  One pivot-free tridiagonal
+elimination serves the modes here and the theta columns of the start below,
+and it is the one place a singular line system raises.
 
 Without the scaling the average would be dominated by the narrowest part of
 the annulus, where the radial coefficients grow like 1/gap, and the
@@ -221,12 +221,12 @@ def _theta_transform(nt: int):
     257, 401 and 449, and the slower one at 128, 256, 289 = 17^2, 301 = 7 *
     43, 513 = 3^3 * 19 and 1025; ``nt <= 5 p`` and ``nt <= 450`` separate
     the two sets, and there the pair is ``(x @ D).view(complex)`` and
-    ``x_hat.view(float) @ E``.  Column ``2 k`` of the read-only ``(nt, 2
-    m)`` matrix ``D``, ``m = nt // 2 + 1``, holds ``cos(2 pi j k / nt)`` and
-    column ``2 k + 1`` ``-sin(2 pi j k / nt)``, both read from one table of
-    the ``nt`` roots of unity at ``j k mod nt``; the Nyquist sine column is
-    exactly 0.  ``E`` is ``D.T`` with ``irfft``'s per-mode weights, ``1 /
-    nt`` on mode 0 and on the Nyquist mode, ``2 / nt`` on the paired modes.
+    ``x_hat.view(float) @ E``, with ``m = nt // 2 + 1``.  The read-only ``(nt,
+    2 m)`` matrix ``D`` is ``rfft`` of the identity, its real and imaginary
+    parts interleaved, and row ``2 k`` (``2 k + 1``) of ``E`` is ``irfft`` of
+    a real (imaginary) unit in mode ``k``.  Both transforms are linear, so
+    the dense pair is numpy's pair, ``irfft``'s mode weights and dropped
+    imaginary parts included.
     """
     # Trial division: p is the largest factor divided out, n what is left (1
     # or a prime), so the largest prime factor is max(p, n).
@@ -237,13 +237,9 @@ def _theta_transform(nt: int):
     if nt > min(5 * max(p, n), 450):
         return (functools.partial(np.fft.rfft, axis=1),
                 functools.partial(np.fft.irfft, n=nt, axis=1))
-    q = np.arange(nt)
-    modes = q[:nt // 2 + 1]
-    dft = np.exp(-2j * np.pi / nt * q)[np.outer(q, modes) % nt].view(float)
-    if nt % 2 == 0:
-        dft[:, -1] = 0.0
-    weights = np.where((modes == 0) | (2 * modes == nt), 1.0, 2.0) / nt
-    inv = (dft * np.repeat(weights, 2)).T  # F-ordered, as dft.T
+    m = nt // 2 + 1
+    dft = np.fft.rfft(np.eye(nt), axis=1).view(float)
+    inv = np.fft.irfft(np.kron(np.eye(m), [1, 1j]), nt, axis=0).T  # F-ordered
     dft.flags.writeable = inv.flags.writeable = False
     return (lambda x: (x @ dft).view(complex)), (lambda x_hat: x_hat.view(float) @ inv)
 
@@ -350,11 +346,13 @@ def _gmres(operator, precondition, rhs, x0, tol):
     ``g`` gives the residual estimate ``|g[k+1]| / |rhs|``, appended to
     ``history`` once per iteration.  A cycle ends when the estimate falls to
     ``tol / 2``, when the basis breaks down, or after ``_RESTART``
-    iterations; then ``x`` moves by ``precondition(V y)`` and the true
-    residual is formed once.  The solve returns when it meets ``tol``, and
-    restarts from it otherwise.  A breakdown, a non-finite residual or
-    ``_MAX_RESTARTS`` spent cycles raise :class:`SolverFailureError` carrying
-    ``history`` followed by the last true residual.
+    iterations; then ``x`` moves by ``precondition(V y)``, ``y`` solving the
+    triangular system with ``numpy.linalg.solve``.  Each cycle starts from
+    the true residual, the one place it is formed: the solve returns when it
+    meets ``tol``.  Otherwise a breakdown in the cycle before, a non-finite
+    residual or ``_MAX_RESTARTS`` spent cycles raise
+    :class:`SolverFailureError` carrying ``history`` followed by that
+    residual.
     """
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     if not np.isfinite(scale):
@@ -362,19 +360,19 @@ def _gmres(operator, precondition, rhs, x0, tol):
     eps = np.finfo(float).eps
     history = []
     basis = np.empty((_RESTART + 1, rhs.size))
-    x = x0
-    np.subtract(rhs, operator(x), out=basis[0])
-    beta = float(np.linalg.norm(basis[0]))
-    residual = beta / scale
-    cycles, breakdown = 0, False
-    while not residual <= tol:
-        if cycles == _MAX_RESTARTS or breakdown or not np.isfinite(residual):
+    x, breakdown = x0, False
+    for cycle in range(_MAX_RESTARTS + 1):
+        np.subtract(rhs, operator(x), out=basis[0])
+        beta = float(np.linalg.norm(basis[0]))
+        residual = beta / scale
+        if residual <= tol:
+            return x, residual, history
+        if cycle == _MAX_RESTARTS or breakdown or not np.isfinite(residual):
             raise SolverFailureError(
                 f"relative residual {residual:.3e} exceeds tol {tol:.3e} "
                 f"after {len(history)} GMRES iterations",
                 residuals=history + [residual],
             )
-        cycles += 1
         basis[0] /= beta
         tri = np.zeros((_RESTART, _RESTART))  # the rotated Hessenberg matrix
         cs, sn = [], []
@@ -406,17 +404,10 @@ def _gmres(operator, precondition, rhs, x0, tol):
             history.append(abs(g[k + 1]) / scale)
             if history[-1] <= tol / 2 or breakdown:
                 break
-        # Back substitution; after a breakdown with a zero pivot the last
-        # direction adds nothing and is dropped.
+        # After a breakdown with a zero pivot the last direction adds nothing
+        # and is dropped, so the triangle left has a nonzero diagonal.
         m = k + 1 if tri[k, k] != 0 else k
-        y = np.zeros(m)
-        for i in reversed(range(m)):
-            y[i] = (g[i] - tri[i, i + 1:m] @ y[i + 1:]) / tri[i, i]
-        x += precondition(y @ basis[:m])
-        np.subtract(rhs, operator(x), out=basis[0])
-        beta = float(np.linalg.norm(basis[0]))
-        residual = beta / scale
-    return x, residual, history
+        x += precondition(np.linalg.solve(tri[:m, :m], g[:m]) @ basis[:m])
 
 
 def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
@@ -486,14 +477,6 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     return ScalarField(grid=grid, values=values), stats
 
 
-def _d_s(arr, ds):
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2 * ds)
-    out[0] = (-3 * arr[0] + 4 * arr[1] - arr[2]) / (2 * ds)
-    out[-1] = (3 * arr[-1] - 4 * arr[-2] + arr[-3]) / (2 * ds)
-    return out
-
-
 def _d_t(arr, dt):
     # Differenced into one output array, with the wrapped columns written
     # apart: a temporary the size of arr costs more than its arithmetic.
@@ -509,14 +492,14 @@ def gradient_field(field: ScalarField) -> GradientField:
     """Cartesian gradient and its squared magnitude at every node.
 
     Both the field and the node coordinates are differenced with the same
-    stencils (centered inside, one-sided second order on the boundary rows)
-    and the 2x2 map is inverted per node, so the reconstruction is exact for
-    fields that are affine in x and y regardless of the grid mapping.
+    stencils, ``numpy.gradient`` with second-order one-sided ends in s and
+    the periodic centered difference in theta, and the 2x2 map is inverted
+    per node, so the reconstruction is exact for fields that are affine in x
+    and y regardless of the grid mapping.
     """
     grid, u = field.grid, field.values
-    us, ut = _d_s(u, grid.ds), _d_t(u, grid.dtheta)
-    xs, xt = _d_s(grid.x, grid.ds), _d_t(grid.x, grid.dtheta)
-    ys, yt = _d_s(grid.y, grid.ds), _d_t(grid.y, grid.dtheta)
+    us, xs, ys = (np.gradient(a, grid.ds, axis=0, edge_order=2) for a in (u, grid.x, grid.y))
+    ut, xt, yt = (_d_t(a, grid.dtheta) for a in (u, grid.x, grid.y))
     det = xs * yt - xt * ys
     if np.any(np.abs(det) < 1e-14 * np.max(np.abs(det))):
         raise InvalidInputError("discrete Jacobian is degenerate")

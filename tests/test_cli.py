@@ -556,6 +556,23 @@ class TestEntryPoint:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+    def test_grid_too_large_for_memory_exits_2(self, tmp_path, command, monkeypatch, run_main):
+        # The grid allocation is faked: under overcommit a huge request can succeed.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "build_grid", no_memory)
+        monkeypatch.setattr(cli, "full_report", no_memory)
+        payload = {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16},
+                   "sweep": {"parameter": "eps", "values": [0.0]},
+                   "output": {"field": str(tmp_path / "field.dat"),
+                              "csv": str(tmp_path / "out.csv")}}
+        proc = run_main(command, write_cfg(tmp_path, "big.json", payload))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["big.json"]  # no field, no CSV
+
     def test_verify_imports_no_scipy(self, tmp_path):
         # The solver is numpy-only: a whole verify run loads no SciPy module.
         cfg = write_cfg(tmp_path, "v.json", {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16}})
