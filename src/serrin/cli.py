@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -39,9 +40,11 @@ _DEFAULT_NTHETA = 64
 
 
 def _number(value, where, integer=False):
-    """A JSON number from the config, as float (or int), else ConfigError."""
+    """A finite JSON number from the config, as float (or int), else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):  # json reads NaN, Infinity and 1e400
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     if integer:
         if not float(value).is_integer():
             raise ConfigError(f"{where} must be an integer, got {value!r}")

@@ -137,37 +137,29 @@ class ModelParams:
         return min(ua, ub), max(ua, ub)
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _positive(x, message):
-    """``_as_array(x)``, raising InvalidInputError(message) unless every entry is > 0."""
-    arr, scalar = _as_array(x)
+    """``x`` as a float array, raising InvalidInputError(message) unless every entry is > 0."""
+    arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(arr > 0):
         raise InvalidInputError(message)
-    return arr, scalar
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
+    return arr
 
 
 def model_u(params: ModelParams, r):
     """Evaluate the model profile ``L - r^2/2 + M log r``.
 
-    ``r`` may be a scalar or an array; every entry must be positive.
+    ``r`` may be a scalar or an array; every entry must be positive.  The
+    result has the shape of ``r``, so a scalar gives a numpy scalar, a
+    ``float``.  The other profile functions follow the same rule.
     """
-    arr, scalar = _positive(r, "model_u requires r > 0")
-    out = params.L - 0.5 * arr * arr + params.M * np.log(arr)
-    return _ret(out, scalar)
+    arr = _positive(r, "model_u requires r > 0")
+    return params.L - 0.5 * arr * arr + params.M * np.log(arr)
 
 
 def model_u_prime(params: ModelParams, r):
     """Radial derivative ``(M - r^2)/r`` of the model profile."""
-    arr, scalar = _positive(r, "model_u_prime requires r > 0")
-    return _ret((params.M - arr * arr) / arr, scalar)
+    arr = _positive(r, "model_u_prime requires r > 0")
+    return (params.M - arr * arr) / arr
 
 
 def boundary_data_of(params: ModelParams) -> BoundaryData:
@@ -323,8 +315,9 @@ def _tangent_step(params: ModelParams, r, target):
 def pseudo_radius(params: ModelParams, value):
     """Invert the monotone profile: the radius in [r_i, r_o] where u attains value.
 
-    ``value`` may be scalar or array; entries outside the closed range of the
-    profile (or NaN) raise :class:`OutOfRangeError`.  Solved by Newton's
+    ``value`` may be scalar or array, and the result has its shape (a numpy
+    scalar for a scalar); entries outside the closed range of the profile (or
+    NaN) raise :class:`OutOfRangeError`.  Solved by Newton's
     method on ``u(r) = value`` from a seeded start: ``np.interp`` on the
     profile at ``_SEED_RADII`` equally spaced radii, then one tangent step
     (:func:`_tangent_step`).  The profile is concave, so that step lands on
@@ -334,7 +327,7 @@ def pseudo_radius(params: ModelParams, value):
     forward, so each entry's iterates move one way over finite floats and the
     loop ends.
     """
-    arr, scalar = _as_array(value)
+    arr = np.asarray(value, dtype=float)
     lo_v, hi_v = params.value_range
     if not np.all((arr >= lo_v) & (arr <= hi_v)):
         worst = float(np.max(np.maximum(lo_v - arr, arr - hi_v)))
@@ -359,7 +352,7 @@ def pseudo_radius(params: ModelParams, value):
             forward = nxt > r if increasing else nxt < r
             todo = todo[forward]
             psi[todo] = nxt[forward]
-    return _ret(psi.reshape(arr.shape), scalar)
+    return psi.reshape(arr.shape)[()]
 
 
 def model_gradient_sq(params: ModelParams, psi):
@@ -410,13 +403,12 @@ def refined_phi(params: ModelParams, k: float, psi):
     Raises :class:`SingularEvaluationError` within the cutoff neighbourhood
     of ``psi = sqrt(M)``.
     """
-    arr, scalar = _positive(psi, "refined_phi requires psi > 0")
+    arr = _positive(psi, "refined_phi requires psi > 0")
     _singular_guard(params, arr)
     M = params.M
     p2 = arr * arr
     num = p2 * p2 - 4 * M * p2 + 4 * M * M * np.log(arr) + k
-    out = 2 * model_u(params, arr) - num / (2 * (M - p2))
-    return _ret(out, scalar)
+    return 2 * model_u(params, arr) - num / (2 * (M - p2))
 
 
 def refined_phi_dot(params: ModelParams, k: float, psi):
@@ -426,9 +418,8 @@ def refined_phi_dot(params: ModelParams, k: float, psi):
     nonnegative on decreasing profiles when ``k = refined_k(params)``.  Same
     singular guard as :func:`refined_phi`.
     """
-    arr, scalar = _positive(psi, "refined_phi_dot requires psi > 0")
+    arr = _positive(psi, "refined_phi_dot requires psi > 0")
     _singular_guard(params, arr)
     p2 = arr * arr
     den = params.M - p2
-    out = p2 * (refined_k_at(params, arr) - k) / (den * den * den)
-    return _ret(out, scalar)
+    return p2 * (refined_k_at(params, arr) - k) / (den * den * den)

@@ -121,20 +121,23 @@ def neumann_constancy(values, weights) -> NeumannStats:
     """Weighted mean, standard deviation and maximum deviation of a trace.
 
     Values and weights must be finite, the weights nonnegative with a
-    positive sum; otherwise :class:`InvalidInputError` is raised."""
+    positive sum, and the statistics finite (products of huge values and
+    weights overflow); otherwise :class:`InvalidInputError` is raised."""
     vals = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     if w.shape != vals.shape or vals.size == 0:
         raise InvalidInputError("weights must match the trace values")
-    total = float(np.sum(w))
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w)) and np.all(w >= 0)
-            and total > 0):
+            and np.any(w > 0)):
         raise InvalidInputError("trace values and weights must be finite, "
                                 "the weights nonnegative with a positive sum")
-    mean = float(np.sum(vals * w) / total)
-    var = float(np.sum(w * (vals - mean) ** 2) / total)
-    return NeumannStats(mean=mean, sd=math.sqrt(max(var, 0.0)),
-                        max_dev=float(np.max(np.abs(vals - mean))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, total = np.average(vals, weights=w, returned=True)
+        var = np.average((vals - mean) ** 2, weights=w)
+        max_dev = np.max(np.abs(vals - mean))
+    if not np.all(np.isfinite([total, mean, var, max_dev])):
+        raise InvalidInputError("trace statistics overflow: the values or weights are too large")
+    return NeumannStats(mean=float(mean), sd=math.sqrt(var), max_dev=float(max_dev))
 
 
 def _neumann_stats(field: ScalarField):
@@ -199,9 +202,8 @@ def gradient_bound_margin(field: ScalarField, params: ModelParams):
     grid = field.grid
     _, w, w0, _ = field.derived(_model_fields, params)
     inner = (w - w0)[1:-1]
-    flat = int(np.argmax(inner))
-    i, j = 1 + flat // grid.ntheta, flat % grid.ntheta
-    return float(inner.max()), (float(grid.x[i, j]), float(grid.y[i, j]))
+    i, j = np.unravel_index(np.argmax(inner), inner.shape)
+    return float(inner[i, j]), (float(grid.x[i + 1, j]), float(grid.y[i + 1, j]))
 
 
 def area_bound_check(spec: DomainSpec, params: ModelParams):

@@ -112,12 +112,19 @@ class TestFit:
         {"solver": {"tol": 10**400}},
         {"sweep": {"parameter": "eps", "values": [0.0], "bogus": 1}},
         {"mms": {"sizes": "x"}},
+        {"perturbation": {"target": "inner", "harmonic": 3, "kind": "cos",
+                          "amplitude": float("nan")}},
+        {"perturbation": {"target": "inner", "harmonic": 3, "kind": "cos",
+                          "amplitude": float("inf")}},
+        {"perturbation": {"target": "inner", "harmonic": 3, "kind": "cos",
+                          "amplitude": -10**400}},
     ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method",
             "auto_method", "max_iter", "string_c0", "null_c0", "numeric_string_c0",
             "scalar_cos", "string_cos", "huge_sin", "int_csv_path", "int_field_path",
             "empty_csv_path", "nul_report_path",
             "harmonic_17", "harmonic_huge", "huge_ns", "huge_tol",
-            "sweep_unknown_key", "mms_string_sizes"])
+            "sweep_unknown_key", "mms_string_sizes",
+            "nan_amplitude", "infinite_amplitude", "huge_amplitude"])
     def test_bad_key_exits_2(self, tmp_path, extra, run_main):
         cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
         proc = run_main("fit", cfg)
@@ -430,11 +437,14 @@ class TestSweep:
             cli.main(["sweep", cfg])
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("case", ["harmonic_17", "no_domain", "crossing_ns"])
+    @pytest.mark.parametrize("case", ["harmonic_17", "no_domain", "crossing_ns",
+                                      "infinite_eps"])
     def test_config_error_exits_before_rows(self, tmp_path, case, run_main):
         payload = self.payload(tmp_path)
         if case == "harmonic_17":
             payload["perturbation"]["harmonic"] = 17
+        elif case == "infinite_eps":
+            payload["sweep"]["values"] = [0.0, float("inf")]
         elif case == "crossing_ns":
             # the config amplitude makes the curves cross in every row
             payload["perturbation"]["amplitude"] = 0.9

@@ -524,6 +524,18 @@ class TestMms:
                               [17, 33, 65])
         assert res.order_linf == pytest.approx(2.0, abs=0.3)
 
+    def test_non_integer_sizes_rejected(self):
+        # build_grid's rule, not a truncation to 33 and 65
+        spec = DomainSpec.circles(1.0, 2.0)
+        with pytest.raises(InvalidInputError, match="grid sizes must be integers"):
+            mms_convergence(spec, manufactured_field("linear"), [33.7, 65.2])
+
+    def test_sizes_are_the_grid_sizes(self):
+        res = mms_convergence(DomainSpec.circles(1.0, 2.0), manufactured_field("constant"),
+                              iter([17.0, np.int64(33)]))
+        assert res.sizes == [17, 33]
+        assert all(type(n) is int for n in res.sizes)
+
     def test_validation(self, model_a):
         spec = DomainSpec.circles(1.0, 2.0)
         with pytest.raises(InvalidInputError):

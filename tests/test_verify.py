@@ -19,11 +19,15 @@ from serrin import (
     boundary_data_of,
     build_grid,
     fit_model,
+    gradient_field,
     integrate_area,
+    model_gradient_sq,
     model_u,
+    pseudo_radius,
     refined_k,
     solve_dirichlet,
 )
+from serrin import models as models_module
 from serrin import solver as solver_module
 from serrin import verify as verify_module
 from serrin.verify import (
@@ -87,6 +91,16 @@ class TestNeumannStats:
         with pytest.raises(InvalidInputError):
             neumann_constancy(np.array(values), np.array(weights))
 
+    @pytest.mark.parametrize("values, weights", [
+        ([1e200, 2e200], [1e200, 1e200]),     # the products overflow
+        ([1e-300, 1e-300], [1e308, 1e308]),   # the weight sum overflows
+        ([-1e200, 1e200], [1.0, 1.0]),        # the squared deviations overflow
+    ], ids=["product", "weight_sum", "variance"])
+    def test_overflowing_statistics_rejected(self, values, weights):
+        # finite input, so only the statistics can fail; no RuntimeWarning either
+        with pytest.raises(InvalidInputError, match="overflow"):
+            neumann_constancy(np.array(values), np.array(weights))
+
 
 class TestMeasuredData:
     def test_recovers_boundary_data(self, model_a):
@@ -141,6 +155,47 @@ class TestGradientBound:
         shifted = ScalarField(grid=grid, values=field.values + 1.0)
         with pytest.raises(InconsistentModelError):
             gradient_bound_margin(shifted, model_a)
+
+    @pytest.mark.parametrize("key", ["a", "c"])
+    def test_location_is_the_interior_maximum(self, key, model_a, model_c):
+        # On model C at 33 x 48 the largest W - W0 is on the inner boundary row,
+        # so a node from the wrong row, or a boundary node, would show.
+        params = {"a": model_a, "c": model_c}[key]
+        grid, field, _ = solved(params, 33, 48)
+        psi = pseudo_radius(params, np.clip(field.values, *params.value_range))
+        excess = gradient_field(field).w - model_gradient_sq(params, psi)
+        excess[[0, -1]] = -np.inf
+        i, j = divmod(int(np.argmax(excess)), grid.ntheta)
+        assert 0 < i < grid.ns - 1
+        margin, at = gradient_bound_margin(field, params)
+        assert margin == excess[i, j]
+        assert at == (grid.x[i, j], grid.y[i, j])
+
+
+class TestModelFunctionShapes:
+    """The profile functions return their argument's shape: a numpy scalar,
+    which is a float, for a scalar, and an array of the same shape otherwise."""
+
+    @staticmethod
+    def _call(name, params, x):
+        if name == "pseudo_radius":
+            return pseudo_radius(params, model_u(params, x))
+        if name.startswith("refined"):
+            return getattr(models_module, name)(params, refined_k(params), x)
+        return getattr(models_module, name)(params, x)
+
+    @pytest.mark.parametrize("name", ["model_u", "model_u_prime", "pseudo_radius",
+                                      "refined_phi", "refined_phi_dot"])
+    def test_scalar_and_array_shapes(self, name, model_c):
+        scalar = self._call(name, model_c, 1.5)
+        assert np.ndim(scalar) == 0
+        assert isinstance(scalar, float)
+        for shape in [(0,), (5,), (3, 4)]:
+            x = np.linspace(1.3, 1.9, int(np.prod(shape))).reshape(shape)
+            out = self._call(name, model_c, x)
+            assert isinstance(out, np.ndarray)
+            assert out.shape == shape
+        assert self._call(name, model_c, np.array([1.5]))[0] == scalar
 
 
 class TestAreaBound:
