@@ -1,9 +1,10 @@
 """Command-line interface: fit, solve, verify, sweep and mms subcommands.
 
-Scenarios are JSON files; see the README for the schema.  Exit codes:
-0 success, 1 a gated verification check failed, 2 invalid input or
-configuration, an output file that cannot be written or a grid too large for
-memory, 3 boundary data in the unproven regime, 4 numerical failure.
+Scenarios are JSON files in the format of :data:`_SCHEMA`, which the README
+tables.  Exit codes: 0 success, 1 a gated verification check failed, 2
+invalid input or configuration, an output file that cannot be written or a
+grid too large for memory, 3 boundary data in the unproven regime, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -31,10 +32,21 @@ from .models import (
 from .solver import SolveOptions, manufactured_field, mms_convergence, solve_dirichlet, write_field
 from .verify import CSV_COLUMNS, error_row, evaluate_checks, format_value, full_report
 
-_TOP_KEYS = {
-    "boundary_data", "model_params", "domain", "perturbation",
-    "resolution", "solver", "sweep", "mms", "output",
+# Every config key outside 'domain', as {block: {key: kind}}: a kind is float
+# or int (a finite JSON number), str, list or a tuple of the allowed values.
+_SCHEMA = {
+    "model_params": {"L": float, "M": float, "r_i": float, "r_o": float},
+    "boundary_data": {"a": float, "b": float, "alpha": float, "beta": float},
+    "resolution": {"ns": int, "ntheta": int},
+    "solver": {"tol": float},
+    "perturbation": {"target": SIDES, "harmonic": int, "kind": ("cos", "sin"),
+                     "amplitude": float},
+    "sweep": {"parameter": ("eps", "ns", "ntheta"), "values": list},
+    "mms": {"sizes": list, "exact": str},
+    "output": {"report": str, "csv": str, "field": str},
 }
+# blocks whose keys are all optional; every key of the other blocks is required
+_OPTIONAL_BLOCKS = {"resolution", "solver", "mms", "output"}
 _DEFAULT_NS = 65
 _DEFAULT_NTHETA = 64
 
@@ -52,16 +64,31 @@ def _number(value, where, integer=False):
     return float(value)
 
 
-def _block(cfg, name, required=(), optional=()):
-    """Config block ``name`` ({} when absent), else ConfigError unless it is an
-    object with every ``required`` key and no key beyond those and ``optional``."""
-    block = cfg.get(name, {})
-    if not (isinstance(block, dict)
-            and set(required) <= set(block) <= {*required, *optional}):
-        parts = [f"{kind} keys {sorted(keys)}" for kind, keys in
-                 (("required", required), ("optional", optional)) if keys]
-        raise ConfigError(f"'{name}' must be an object with only the {' and '.join(parts)}")
-    return block
+def _value(value, kind, where):
+    """``value`` if it is of the :data:`_SCHEMA` ``kind`` (a number parsed by
+    :func:`_number`), else ConfigError naming ``where``."""
+    if kind in (float, int):
+        return _number(value, where, integer=kind is int)
+    if value in kind if isinstance(kind, tuple) else isinstance(value, kind):
+        return value
+    wanted = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else f"a {kind.__name__}"
+    raise ConfigError(f"{where} must be {wanted}, got {value!r}")
+
+
+def _block(cfg, name):
+    """The values of config block ``name`` ({} when absent), each checked by
+    :func:`_value`, else ConfigError unless its keys match its :data:`_SCHEMA` row."""
+    if name not in cfg:
+        return {}
+    block, row = cfg[name], _SCHEMA[name]
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{name}' must be an object with the keys {sorted(row)}")
+    required = set() if name in _OPTIONAL_BLOCKS else set(row)
+    bad = sorted((set(block) - set(row)) | (required - set(block)))
+    if bad:
+        problem = "missing" if bad[0] in row else "not a config key"
+        raise ConfigError(f"{name}.{bad[0]} is {problem}")
+    return {key: _value(value, row[key], f"{name}.{key}") for key, value in block.items()}
 
 
 @dataclass
@@ -116,33 +143,20 @@ def _load_scenario(args) -> Scenario:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
+    unknown = set(cfg) - {"domain", *_SCHEMA}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    has_data = "boundary_data" in cfg
-    has_params = "model_params" in cfg
-    if has_data == has_params:
+    if ("boundary_data" in cfg) == ("model_params" in cfg):
         raise ConfigError("config needs exactly one of 'boundary_data' or 'model_params'")
-    if has_params:
-        block = _block(cfg, "model_params", required={"L", "M", "r_i", "r_o"})
-        params = ModelParams(**{k: _number(v, f"model_params.{k}") for k, v in block.items()})
-        data = boundary_data_of(params)
-    else:
-        block = _block(cfg, "boundary_data", required={"a", "b", "alpha", "beta"})
-        data = BoundaryData(**{k: _number(v, f"boundary_data.{k}") for k, v in block.items()})
-        params = None
+    params = ModelParams(**_block(cfg, "model_params")) if "model_params" in cfg else None
+    data = (BoundaryData(**_block(cfg, "boundary_data")) if params is None
+            else boundary_data_of(params))
 
-    res = _block(cfg, "resolution", optional={"ns", "ntheta"})
-    ns = _number(res.get("ns", _DEFAULT_NS), "resolution.ns", integer=True)
-    ntheta = _number(res.get("ntheta", _DEFAULT_NTHETA), "resolution.ntheta", integer=True)
-    if args.ns is not None:
-        ns = args.ns
-    if args.ntheta is not None:
-        ntheta = args.ntheta
-
-    sol = _block(cfg, "solver", optional={"tol"})
-    options = SolveOptions(tol=_number(sol.get("tol", SolveOptions.tol), "solver.tol"))
+    res = _block(cfg, "resolution")
+    ns = res.get("ns", _DEFAULT_NS) if args.ns is None else args.ns
+    ntheta = res.get("ntheta", _DEFAULT_NTHETA) if args.ntheta is None else args.ntheta
+    options = SolveOptions(**_block(cfg, "solver"))
 
     if "domain" in cfg:
         base = DomainSpec.from_dict(cfg["domain"])
@@ -151,56 +165,36 @@ def _load_scenario(args) -> Scenario:
     else:
         base = None
 
-    perturbation = None
-    eps = 0.0
-    if "perturbation" in cfg:
-        pert = _block(cfg, "perturbation", required={"target", "harmonic", "kind", "amplitude"})
-        target, kind = pert["target"], pert["kind"]
-        harmonic = _number(pert["harmonic"], "perturbation.harmonic", integer=True)
-        # checked before Scenario.domain pads the coefficients up to the harmonic
-        if (target not in SIDES or kind not in ("cos", "sin")
-                or not 1 <= harmonic <= MAX_DEGREE):
-            raise ConfigError("perturbation needs target inner/outer, kind cos/sin, "
-                              f"harmonic in 1..{MAX_DEGREE}")
-        perturbation = (target, kind, harmonic)
-        eps = _number(pert["amplitude"], "perturbation.amplitude")
-    if args.eps is not None:
-        eps = args.eps
+    pert = _block(cfg, "perturbation")
+    # checked before Scenario.domain pads the coefficients up to the harmonic
+    if pert and not 1 <= pert["harmonic"] <= MAX_DEGREE:
+        raise ConfigError(f"perturbation.harmonic must be in 1..{MAX_DEGREE}, "
+                          f"got {pert['harmonic']}")
+    perturbation = (pert["target"], pert["kind"], pert["harmonic"]) if pert else None
+    eps = pert.get("amplitude", 0.0) if args.eps is None else _number(args.eps, "--eps")
 
-    output = _block(cfg, "output", optional={"report", "csv", "field"})
-    # open() raises ValueError, not OSError, on a path with a NUL character
-    if not all(isinstance(v, str) and v and "\0" not in v for v in output.values()):
-        raise ConfigError("'output' values must be file paths (nonempty strings without NUL)")
+    output = _block(cfg, "output")
     for key, path in output.items():  # checked before any solve
+        # open() raises ValueError, not OSError, on a path with a NUL character
+        if not path or "\0" in path:
+            raise ConfigError(f"output.{key} must be a file path (nonempty, without NUL)")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"output.{key}: directory {folder!r} does not exist")
 
-    sweep = None
-    if "sweep" in cfg:
-        sw = _block(cfg, "sweep", required={"parameter", "values"})
-        parameter, values = sw["parameter"], sw["values"]
-        if parameter not in ("eps", "ns", "ntheta"):
-            raise ConfigError("sweep parameter must be one of eps, ns, ntheta")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("sweep values must be a nonempty list")
-        sweep = (parameter,
-                 [_number(v, "sweep.values", integer=parameter != "eps") for v in values])
+    sw = _block(cfg, "sweep")
+    if sw and not sw["values"]:
+        raise ConfigError("sweep.values must be a nonempty list")
+    sweep = (sw["parameter"], [_number(v, "sweep.values", integer=sw["parameter"] != "eps")
+                               for v in sw["values"]]) if sw else None
     amplitudes = [eps] + (sweep[1] if sweep and sweep[0] == "eps" else [])
     if perturbation is None and any(amplitudes):
         raise ConfigError("a nonzero amplitude (--eps or an eps sweep value) "
                           "needs a 'perturbation' block")
 
-    mms = None
-    if "mms" in cfg:
-        mc = _block(cfg, "mms", optional={"sizes", "exact"})
-        sizes = mc.get("sizes", [33, 65, 129])
-        if not isinstance(sizes, list):
-            raise ConfigError("mms sizes must be a list")
-        kind = mc.get("exact", "model")
-        if not isinstance(kind, str):  # the kind names live in manufactured_field
-            raise ConfigError(f"mms exact must be a string, got {kind!r}")
-        mms = ([_number(n, "mms.sizes", integer=True) for n in sizes], kind)
+    mc = _block(cfg, "mms")
+    sizes = [_number(n, "mms.sizes", integer=True) for n in mc.get("sizes", [33, 65, 129])]
+    mms = (sizes, mc.get("exact", "model")) if "mms" in cfg else None
 
     return Scenario(data=data, params=params, base=base, perturbation=perturbation,
                     ns=ns, ntheta=ntheta, eps=eps, options=options, output=output,

@@ -118,17 +118,39 @@ class TestFit:
                           "amplitude": float("inf")}},
         {"perturbation": {"target": "inner", "harmonic": 3, "kind": "cos",
                           "amplitude": -10**400}},
+        {"perturbation": {"target": "inner", "harmonic": 3, "kind": "tan", "amplitude": 0.0}},
+        {"perturbation": {"target": 3, "harmonic": 3, "kind": "cos", "amplitude": 0.0}},
+        {"sweep": {"parameter": "L", "values": [0.0]}},
+        {"sweep": {"parameter": "ns", "values": 3}},
+        {"mms": {"exact": 3}},
+        {"mms": {"sizes": [17.5, 33]}},
+        {"resolution": {"ns": True}},
+        {"resolution": [65, 64]},
+        {"solver": None},
+        {"perturbation": {}},
+        {"sweep": {}},
+        {"output": {"csv": ["rows.csv"]}},
     ], ids=["unknown_key", "string_tol", "string_ns", "iterative_method",
             "auto_method", "max_iter", "string_c0", "null_c0", "numeric_string_c0",
             "scalar_cos", "string_cos", "huge_sin", "int_csv_path", "int_field_path",
             "empty_csv_path", "nul_report_path",
             "harmonic_17", "harmonic_huge", "huge_ns", "huge_tol",
             "sweep_unknown_key", "mms_string_sizes",
-            "nan_amplitude", "infinite_amplitude", "huge_amplitude"])
+            "nan_amplitude", "infinite_amplitude", "huge_amplitude",
+            "tan_kind", "numeric_target", "sweep_parameter_L", "scalar_sweep_values",
+            "numeric_mms_exact", "fractional_mms_size", "bool_ns", "list_resolution",
+            "null_solver", "empty_perturbation", "empty_sweep", "list_csv_path"])
     def test_bad_key_exits_2(self, tmp_path, extra, run_main):
         cfg = write_cfg(tmp_path, "bad.json", {**MODEL_A, **extra})
         proc = run_main("fit", cfg)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("payload", [[MODEL_A], 3, "model_params"],
+                             ids=["array", "number", "string"])
+    def test_config_not_an_object_exits_2(self, tmp_path, payload, run_main):
+        proc = run_main("fit", write_cfg(tmp_path, "cfg.json", payload))
+        assert proc.returncode == 2
+        assert "JSON object" in proc.stderr
 
     def test_both_sources_rejected(self, tmp_path, run_main):
         cfg = write_cfg(tmp_path, "both.json", {**MODEL_A, **UNCOVERED})
@@ -426,6 +448,11 @@ class TestSweep:
         assert rows[1][-1] == ""
         assert rows[2][-1].startswith(error)
 
+    def test_missing_block_exits_2(self, tmp_path, run_main):
+        proc = run_main("sweep", write_cfg(tmp_path, "sweep.json", MODEL_A))
+        assert proc.returncode == 2
+        assert "'sweep' config block" in proc.stderr
+
     def test_program_error_is_not_a_row(self, tmp_path, monkeypatch):
         # only a SerrinError of one point lands in its row; a bug propagates
         def broken(*args, **kwargs):
@@ -457,6 +484,25 @@ class TestSweep:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestEpsFlag:
+    """``--eps`` passes the number check of the config amplitude it overrides."""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "mms"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_exits_2(self, tmp_path, command, value, run_main):
+        out = tmp_path / "out.csv"
+        payload = {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16},
+                   "perturbation": {"target": "inner", "harmonic": 3, "kind": "cos",
+                                    "amplitude": 0.0},
+                   "sweep": {"parameter": "ns", "values": [17]},
+                   "mms": {"sizes": [17, 33]}, "output": {"csv": str(out)}}
+        proc = run_main(command, write_cfg(tmp_path, "eps.json", payload), "--eps", value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--eps" in proc.stderr
+        assert not out.exists()
 
 
 class TestAmplitudeWithoutPerturbation:

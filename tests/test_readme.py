@@ -1,9 +1,10 @@
-"""The README's code examples run as written, and its CSV contract matches the code."""
+"""The README's code examples run as written, and its CSV contract and config
+table match the code."""
 
 import re
 from pathlib import Path
 
-from serrin import CSV_COLUMNS
+from serrin import CSV_COLUMNS, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +19,13 @@ def test_sweep_csv_columns_are_the_written_ones():
     section = README.read_text().split("### Sweep CSV", 1)[1]
     block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
     assert [c.strip() for c in block.split(",")] == CSV_COLUMNS
+
+
+def test_config_table_is_the_cli_schema():
+    section = README.read_text().split("### Scenario config", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (yes|no)\b", section, flags=re.M)
+    assert len(rows) == len(set(rows))
+    assert {(block, key) for block, key, _ in rows} == {
+        (block, key) for block, row in cli._SCHEMA.items() for key in row}
+    assert {(block, required) for block, _, required in rows} == {
+        (block, "no" if block in cli._OPTIONAL_BLOCKS else "yes") for block in cli._SCHEMA}
