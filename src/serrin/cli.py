@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError, SerrinError
-from .geometry import MAX_DEGREE, SIDES, DomainSpec, build_grid
+from .geometry import MAX_DEGREE, SIDES, DomainSpec, FourierCurve, build_grid
 from .models import (
     BoundaryData,
     ModelParams,
@@ -29,24 +29,37 @@ from .models import (
     compatibility,
     fit_model,
 )
-from .solver import SolveOptions, manufactured_field, mms_convergence, solve_dirichlet, write_field
+from .solver import (
+    MANUFACTURED_KINDS,
+    SolveOptions,
+    manufactured_field,
+    mms_convergence,
+    mms_sizes,
+    solve_dirichlet,
+    write_field,
+)
 from .verify import CSV_COLUMNS, error_row, evaluate_checks, format_value, full_report
 
-# Every config key outside 'domain', as {block: {key: kind}}: a kind is float
-# or int (a finite JSON number), str, list or a tuple of the allowed values.
+# A 'domain' curve rho(theta): c0 and the coefficients of cos(n theta) and sin(n theta).
+_CURVE = {"c0": float, "cos": [float], "sin": [float]}
+# The config format, as {block: {key: kind}}: a kind is float or int (a finite
+# JSON number), str, list, a tuple of the allowed values, a list of one kind
+# (a list whose items are of that kind) or a nested row (a JSON object).
 _SCHEMA = {
     "model_params": {"L": float, "M": float, "r_i": float, "r_o": float},
     "boundary_data": {"a": float, "b": float, "alpha": float, "beta": float},
+    "domain": {side: _CURVE for side in SIDES},
     "resolution": {"ns": int, "ntheta": int},
     "solver": {"tol": float},
     "perturbation": {"target": SIDES, "harmonic": int, "kind": ("cos", "sin"),
                      "amplitude": float},
     "sweep": {"parameter": ("eps", "ns", "ntheta"), "values": list},
-    "mms": {"sizes": list, "exact": str},
+    "mms": {"sizes": [int], "exact": tuple(MANUFACTURED_KINDS)},
     "output": {"report": str, "csv": str, "field": str},
 }
-# blocks whose keys are all optional; every key of the other blocks is required
-_OPTIONAL_BLOCKS = {"resolution", "solver", "mms", "output"}
+# A key of a row is required unless its dotted name, or its row's, is here.
+_OPTIONAL = {"resolution", "solver", "mms", "output",
+             *(f"domain.{side}.{key}" for side in SIDES for key in ("cos", "sin"))}
 _DEFAULT_NS = 65
 _DEFAULT_NTHETA = 64
 
@@ -66,29 +79,31 @@ def _number(value, where, integer=False):
 
 def _value(value, kind, where):
     """``value`` if it is of the :data:`_SCHEMA` ``kind`` (a number parsed by
-    :func:`_number`), else ConfigError naming ``where``."""
+    :func:`_number`, a nested row by :func:`_row`, the items of a list of one
+    kind each by this function), else ConfigError naming ``where``."""
     if kind in (float, int):
         return _number(value, where, integer=kind is int)
+    if isinstance(kind, dict):
+        return _row(value, kind, where)
+    if isinstance(kind, list):
+        return [_value(item, kind[0], where) for item in _value(value, list, where)]
     if value in kind if isinstance(kind, tuple) else isinstance(value, kind):
         return value
     wanted = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else f"a {kind.__name__}"
     raise ConfigError(f"{where} must be {wanted}, got {value!r}")
 
 
-def _block(cfg, name):
-    """The values of config block ``name`` ({} when absent), each checked by
-    :func:`_value`, else ConfigError unless its keys match its :data:`_SCHEMA` row."""
-    if name not in cfg:
-        return {}
-    block, row = cfg[name], _SCHEMA[name]
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{name}' must be an object with the keys {sorted(row)}")
-    required = set() if name in _OPTIONAL_BLOCKS else set(row)
-    bad = sorted((set(block) - set(row)) | (required - set(block)))
+def _row(value, row, where):
+    """The values of the config object ``value`` at ``where``, each checked by
+    :func:`_value`, else ConfigError unless its keys match ``row``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{where}' must be an object with the keys {sorted(row)}")
+    required = {key for key in row if not {where, f"{where}.{key}"} & _OPTIONAL}
+    bad = sorted((set(value) - set(row)) | (required - set(value)))
     if bad:
         problem = "missing" if bad[0] in row else "not a config key"
-        raise ConfigError(f"{name}.{bad[0]} is {problem}")
-    return {key: _value(value, row[key], f"{name}.{key}") for key, value in block.items()}
+        raise ConfigError(f"{where}.{bad[0]} is {problem}")
+    return {key: _value(item, row[key], f"{where}.{key}") for key, item in value.items()}
 
 
 @dataclass
@@ -143,29 +158,30 @@ def _load_scenario(args) -> Scenario:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - {"domain", *_SCHEMA}
+    unknown = set(cfg) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    blocks = {name: _row(block, _SCHEMA[name], name) for name, block in cfg.items()}
 
     if ("boundary_data" in cfg) == ("model_params" in cfg):
         raise ConfigError("config needs exactly one of 'boundary_data' or 'model_params'")
-    params = ModelParams(**_block(cfg, "model_params")) if "model_params" in cfg else None
-    data = (BoundaryData(**_block(cfg, "boundary_data")) if params is None
-            else boundary_data_of(params))
+    params = ModelParams(**blocks["model_params"]) if "model_params" in cfg else None
+    data = BoundaryData(**blocks["boundary_data"]) if params is None else boundary_data_of(params)
 
-    res = _block(cfg, "resolution")
+    res = blocks.get("resolution", {})
     ns = res.get("ns", _DEFAULT_NS) if args.ns is None else args.ns
     ntheta = res.get("ntheta", _DEFAULT_NTHETA) if args.ntheta is None else args.ntheta
-    options = SolveOptions(**_block(cfg, "solver"))
+    options = SolveOptions(**blocks.get("solver", {}))
 
     if "domain" in cfg:
-        base = DomainSpec.from_dict(cfg["domain"])
+        base = DomainSpec(**{side: FourierCurve(c["c0"], c.get("cos", ()), c.get("sin", ()))
+                             for side, c in blocks["domain"].items()})
     elif params is not None:
         base = DomainSpec.circles(params.r_i, params.r_o)
     else:
         base = None
 
-    pert = _block(cfg, "perturbation")
+    pert = blocks.get("perturbation", {})
     # checked before Scenario.domain pads the coefficients up to the harmonic
     if pert and not 1 <= pert["harmonic"] <= MAX_DEGREE:
         raise ConfigError(f"perturbation.harmonic must be in 1..{MAX_DEGREE}, "
@@ -173,7 +189,7 @@ def _load_scenario(args) -> Scenario:
     perturbation = (pert["target"], pert["kind"], pert["harmonic"]) if pert else None
     eps = pert.get("amplitude", 0.0) if args.eps is None else _number(args.eps, "--eps")
 
-    output = _block(cfg, "output")
+    output = blocks.get("output", {})
     for key, path in output.items():  # checked before any solve
         # open() raises ValueError, not OSError, on a path with a NUL character
         if not path or "\0" in path:
@@ -182,7 +198,7 @@ def _load_scenario(args) -> Scenario:
         if not os.path.isdir(folder):
             raise ConfigError(f"output.{key}: directory {folder!r} does not exist")
 
-    sw = _block(cfg, "sweep")
+    sw = blocks.get("sweep", {})
     if sw and not sw["values"]:
         raise ConfigError("sweep.values must be a nonempty list")
     sweep = (sw["parameter"], [_number(v, "sweep.values", integer=sw["parameter"] != "eps")
@@ -192,9 +208,10 @@ def _load_scenario(args) -> Scenario:
         raise ConfigError("a nonzero amplitude (--eps or an eps sweep value) "
                           "needs a 'perturbation' block")
 
-    mc = _block(cfg, "mms")
-    sizes = [_number(n, "mms.sizes", integer=True) for n in mc.get("sizes", [33, 65, 129])]
-    mms = (sizes, mc.get("exact", "model")) if "mms" in cfg else None
+    mc = blocks.get("mms")
+    # mms_convergence's rule, checked here too so that every subcommand exits on it
+    mms = None if mc is None else (mms_sizes(mc.get("sizes", [33, 65, 129])),
+                                   mc.get("exact", "model"))
 
     return Scenario(data=data, params=params, base=base, perturbation=perturbation,
                     ns=ns, ntheta=ntheta, eps=eps, options=options, output=output,
@@ -292,9 +309,9 @@ def cmd_mms(s: Scenario, args) -> int:
     if s.mms is None:
         raise ConfigError("mms command needs an 'mms' config block")
     sizes, kind = s.mms
-    params = None
-    if kind in ("model", "saddle"):
-        params = s.params if s.params is not None else fit_model(s.data)
+    params = s.params
+    if params is None and MANUFACTURED_KINDS[kind][0]:  # the kind needs model parameters
+        params = fit_model(s.data)
     exact = manufactured_field(kind, params)
     result = mms_convergence(s.domain(), exact, sizes, s.options)
     print(f"exact field: {exact.name}")

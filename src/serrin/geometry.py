@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +33,6 @@ _SIN_DERIVATIVES = ((1.0, np.sin), (1.0, np.cos), (-1.0, np.sin))
 
 # The two boundary components, in grid-row order.
 SIDES = ("inner", "outer")
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _side(which) -> int:
@@ -156,25 +151,6 @@ class FourierCurve:
             "sin": list(self.sin_coeffs),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict) or "c0" not in d:
-            raise InvalidDomainError("curve dictionary must provide 'c0'")
-        extra = set(d) - {"c0", "cos", "sin"}
-        if extra:
-            raise InvalidDomainError(f"unknown curve keys: {sorted(extra)}")
-        if not _is_real(d["c0"]):
-            raise InvalidDomainError(f"curve 'c0' must be a number, got {d['c0']!r}")
-        for key in ("cos", "sin"):
-            coeffs = d.get(key, [])
-            if not isinstance(coeffs, list) or not all(map(_is_real, coeffs)):
-                raise InvalidDomainError(f"curve '{key}' must be a list of numbers")
-        return cls(
-            c0=d["c0"],
-            cos_coeffs=tuple(d.get("cos", ())),
-            sin_coeffs=tuple(d.get("sin", ())),
-        )
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -204,15 +180,6 @@ class DomainSpec:
 
     def to_dict(self):
         return {"inner": self.inner.to_dict(), "outer": self.outer.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict) or set(d) != {"inner", "outer"}:
-            raise InvalidDomainError("domain dictionary must have 'inner' and 'outer'")
-        return cls(
-            inner=FourierCurve.from_dict(d["inner"]),
-            outer=FourierCurve.from_dict(d["outer"]),
-        )
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

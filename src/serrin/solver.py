@@ -514,24 +514,39 @@ class ManufacturedField:
     rhs: float
 
 
+# The manufactured exact fields by kind: whether the field needs model
+# parameters, u(params, x, y), and its constant Laplacian.
+MANUFACTURED_KINDS = {
+    "model": (True, lambda p, x, y: model_u(p, np.hypot(x, y)), -2.0),
+    "saddle": (True, lambda p, x, y: x * x - y * y + model_u(p, np.hypot(x, y)), -2.0),
+    "linear": (False, lambda p, x, y: x + 0.0 * y, 0.0),
+    "constant": (False, lambda p, x, y: np.ones_like(x), 0.0),
+}
+
+
 def manufactured_field(kind: str, params: Optional[ModelParams] = None) -> ManufacturedField:
     """Build a manufactured exact solution.
 
-    ``kind`` is one of ``model`` (radial model profile, needs ``params``),
-    ``saddle`` (model plus the harmonic x^2 - y^2, needs ``params``),
-    ``linear`` (u = x, zero right-hand side) or ``constant``.
+    ``kind`` is one of :data:`MANUFACTURED_KINDS`: ``model`` (radial model
+    profile, needs ``params``), ``saddle`` (model plus the harmonic
+    x^2 - y^2, needs ``params``), ``linear`` (u = x, zero right-hand side)
+    or ``constant``.
     """
-    fields = {
-        "model": (lambda x, y: model_u(params, np.hypot(x, y)), -2.0),
-        "saddle": (lambda x, y: x * x - y * y + model_u(params, np.hypot(x, y)), -2.0),
-        "linear": (lambda x, y: x + 0.0 * y, 0.0),
-        "constant": (lambda x, y: np.ones_like(x), 0.0),
-    }
-    if kind not in fields:
+    if kind not in MANUFACTURED_KINDS:
         raise InvalidInputError(f"unknown manufactured field kind {kind!r}")
-    if kind in ("model", "saddle") and params is None:
+    needs_params, u, rhs = MANUFACTURED_KINDS[kind]
+    if needs_params and params is None:
         raise InvalidInputError(f"kind {kind!r} needs model parameters")
-    return ManufacturedField(kind, *fields[kind])
+    return ManufacturedField(kind, functools.partial(u, params), rhs)
+
+
+def mms_sizes(sizes) -> list:
+    """``sizes`` as a list if at least two of them differ, else
+    InvalidInputError: one log h would leave the fitted order arbitrary."""
+    sizes = list(sizes)  # an iterator would be spent by the check below
+    if len(set(sizes)) < 2:
+        raise InvalidInputError("mms needs at least two distinct grid sizes")
+    return sizes
 
 
 @dataclass
@@ -559,9 +574,7 @@ def mms_convergence(spec: DomainSpec, exact: ManufacturedField, sizes: Sequence[
     are reported as ``exact`` with no fitted order; otherwise the slopes of
     log-error against log-h are fitted by least squares for both norms.
     """
-    sizes = list(sizes)  # an iterator would be spent by the check below
-    if len(set(sizes)) < 2:  # one log h would leave the fitted order arbitrary
-        raise InvalidInputError("mms needs at least two distinct grid sizes")
+    sizes = mms_sizes(sizes)
     ns, hs, linf, l2, scale = [], [], [], [], 0.0
     for n in sizes:
         grid = build_grid(spec, n, n)

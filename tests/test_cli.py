@@ -145,6 +145,21 @@ class TestFit:
         proc = run_main("fit", cfg)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("domain, key", [
+        ({"inner": {"c0": "abc"}, "outer": {"c0": 1.5}}, "domain.inner.c0"),
+        ({"inner": {"c0": 1.0}, "outer": {"c0": 1.5, "sin": [-10**400]}}, "domain.outer.sin"),
+        ({"inner": {"c0": 1.0, "cos": [0.1, "ab"]}, "outer": {"c0": 1.5}}, "domain.inner.cos"),
+        ({"inner": {"c0": 1.0, "tan": [0.1]}, "outer": {"c0": 1.5}}, "domain.inner.tan"),
+        ({"inner": {"c0": 1.0}, "outer": {"cos": [0.1]}}, "domain.outer.c0"),
+        ({"inner": {"c0": 1.0}}, "domain.outer"),
+    ], ids=["string_c0", "huge_sin", "string_cos_item", "unknown_curve_key", "missing_c0",
+            "missing_side"])
+    def test_domain_error_names_its_key(self, tmp_path, domain, key, run_main):
+        proc = run_main("fit", write_cfg(tmp_path, "d.json", {**MODEL_A, "domain": domain}))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {key} ")
+
     @pytest.mark.parametrize("payload", [[MODEL_A], 3, "model_params"],
                              ids=["array", "number", "string"])
     def test_config_not_an_object_exits_2(self, tmp_path, payload, run_main):
@@ -559,6 +574,19 @@ class TestMms:
     def test_missing_block_exits_2(self, tmp_path, run_main):
         cfg = write_cfg(tmp_path, "mms.json", MODEL_A)
         assert run_main("mms", cfg).returncode == 2
+
+    @pytest.mark.parametrize("command", ["fit", "solve", "verify", "sweep"])
+    @pytest.mark.parametrize("mms", [{"sizes": [17, 17]}, {"sizes": [17, 33], "exact": "cubic"}],
+                             ids=["one_size", "unknown_exact"])
+    def test_every_subcommand_checks_the_block(self, tmp_path, command, mms, run_main):
+        # the block that `serrin mms` rejects stops the other subcommands too
+        payload = {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16},
+                   "sweep": {"parameter": "ns", "values": [17]}, "mms": mms,
+                   "output": {key: str(tmp_path / key) for key in ("report", "csv", "field")}}
+        proc = run_main(command, write_cfg(tmp_path, "mms.json", payload))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert os.listdir(tmp_path) == ["mms.json"]
 
 
 class TestEntryPoint:

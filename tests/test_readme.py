@@ -21,11 +21,17 @@ def test_sweep_csv_columns_are_the_written_ones():
     assert [c.strip() for c in block.split(",")] == CSV_COLUMNS
 
 
+def _schema_rows(row, where):
+    """``(row, key, required)`` of each key of ``row``, named ``where``, with the
+    rows of its nested rows after the key that holds them."""
+    for key, kind in row.items():
+        yield where, key, "no" if {where, f"{where}.{key}"} & cli._OPTIONAL else "yes"
+        if isinstance(kind, dict):
+            yield from _schema_rows(kind, f"{where}.{key}")
+
+
 def test_config_table_is_the_cli_schema():
     section = README.read_text().split("### Scenario config", 1)[1].split("\n### ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (yes|no)\b", section, flags=re.M)
-    assert len(rows) == len(set(rows))
-    assert {(block, key) for block, key, _ in rows} == {
-        (block, key) for block, row in cli._SCHEMA.items() for key in row}
-    assert {(block, required) for block, _, required in rows} == {
-        (block, "no" if block in cli._OPTIONAL_BLOCKS else "yes") for block in cli._SCHEMA}
+    rows = re.findall(r"^\| `([\w.]+)` \| `(\w+)` \| (yes|no)\b", section, flags=re.M)
+    assert rows == [row for block, keys in cli._SCHEMA.items()
+                    for row in _schema_rows(keys, block)]

@@ -9,7 +9,7 @@ each config of :func:`variants`: a few valid scenarios at 17 x 16, whose runs
 solve, verify, sweep and write files, and one config per rule of the config
 format that rejects it.  ``solve``, ``verify``, ``sweep`` and ``mms`` also run
 with ``--eps 0.02``.  Each run has its own temporary directory as its working
-directory, a fresh process and ``OPENBLAS_NUM_THREADS=1``; the 612 runs take
+directory, a fresh process and ``OPENBLAS_NUM_THREADS=1``; the 720 runs take
 about a minute on two worker threads.  For each run ``OUT.json`` holds the
 exit code, stdout without ``solve``'s ``seconds:`` line, stderr, the SHA-256
 of each file the run wrote, and the JSON report without its ``timings`` and
@@ -58,6 +58,11 @@ def _model(**blocks):
 
 def _perturbed(**perturbation):
     return _model(perturbation={**PERTURBATION, **perturbation})
+
+
+def _curve(**inner):
+    """Model A on its circles given as a 'domain', the inner curve updated by ``inner``."""
+    return _model(domain={"inner": {"c0": 1.0, **inner}, "outer": {"c0": 1.5}})
 
 
 def variants():
@@ -110,7 +115,19 @@ def variants():
         "solver_method": _model(solver={"method": "iterative"}),
         "solver_string_tol": _model(solver={"tol": "1e-11"}),
         "solver_tol_range": _model(solver={"tol": 0.5}),
-        "domain_string_c0": _model(domain={"inner": {"c0": "1"}, "outer": {"c0": 1.5}}),
+        "domain_list": _model(domain=[{"c0": 1.0}, {"c0": 1.5}]),
+        "domain_missing_side": _model(domain={"inner": {"c0": 1.0}}),
+        "domain_unknown_side": _model(domain={**CIRCLES, "middle": {"c0": 1.2}}),
+        "domain_curve_number": _model(domain={"inner": 1.0, "outer": {"c0": 1.5}}),
+        "domain_missing_c0": _model(domain={"inner": {"cos": [0.1]}, "outer": {"c0": 1.5}}),
+        "domain_unknown_curve_key": _curve(tan=[0.1]),
+        "domain_bool_c0": _curve(c0=True),
+        "domain_string_c0": _curve(c0="1"),
+        "domain_huge_c0": _curve(c0=10**400),
+        "domain_cos_number": _curve(cos=0.1),
+        "domain_cos_string": _curve(cos=[0.0, "0.1"]),
+        "domain_sin_nan": _curve(sin=[math.nan]),
+        "domain_degree_17": _curve(cos=[0.0] * 16 + [0.01]),
         "domain_crossing": _model(domain={"inner": {"c0": 1.0}, "outer": {"c0": 0.5}}),
         "perturbation_empty": _model(perturbation={}),
         "perturbation_list": _model(perturbation=["inner", 3, "cos", 0.05]),
