@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError, SerrinError
-from .geometry import MAX_DEGREE, SIDES, DomainSpec, FourierCurve, build_grid
+from .geometry import MAX_DEGREE, MIN_NS, MIN_NTHETA, SIDES, DomainSpec, FourierCurve, build_grid
 from .models import (
     BoundaryData,
     ModelParams,
@@ -60,8 +60,6 @@ _SCHEMA = {
 # A key of a row is required unless its dotted name, or its row's, is here.
 _OPTIONAL = {"resolution", "solver", "mms", "output",
              *(f"domain.{side}.{key}" for side in SIDES for key in ("cos", "sin"))}
-_DEFAULT_NS = 65
-_DEFAULT_NTHETA = 64
 
 
 def _number(value, where, integer=False):
@@ -168,9 +166,9 @@ def _load_scenario(args) -> Scenario:
     params = ModelParams(**blocks["model_params"]) if "model_params" in cfg else None
     data = BoundaryData(**blocks["boundary_data"]) if params is None else boundary_data_of(params)
 
-    res = blocks.get("resolution", {})
-    ns = res.get("ns", _DEFAULT_NS) if args.ns is None else args.ns
-    ntheta = res.get("ntheta", _DEFAULT_NTHETA) if args.ntheta is None else args.ntheta
+    # The default grid, the config's resolution over it and the overrides over both.
+    flags = {key: getattr(args, key) for key in ("ns", "ntheta") if getattr(args, key) is not None}
+    grid = {"ns": 65, "ntheta": 64, **blocks.get("resolution", {}), **flags}
     options = SolveOptions(**blocks.get("solver", {}))
 
     if "domain" in cfg:
@@ -203,6 +201,12 @@ def _load_scenario(args) -> Scenario:
         raise ConfigError("sweep.values must be a nonempty list")
     sweep = (sw["parameter"], [_number(v, "sweep.values", integer=sw["parameter"] != "eps")
                                for v in sw["values"]]) if sw else None
+    # build_grid's minimums, checked here too so that every subcommand exits
+    # on them; a swept dimension's values below them fail in their own rows.
+    for key, least in (("ns", MIN_NS), ("ntheta", MIN_NTHETA)):
+        if grid[key] < least and key != sw.get("parameter"):
+            where = f"--{key}" if key in flags else f"resolution.{key}"
+            raise ConfigError(f"{where} must be at least {least}, got {grid[key]}")
     amplitudes = [eps] + (sweep[1] if sweep and sweep[0] == "eps" else [])
     if perturbation is None and any(amplitudes):
         raise ConfigError("a nonzero amplitude (--eps or an eps sweep value) "
@@ -214,7 +218,7 @@ def _load_scenario(args) -> Scenario:
                                    mc.get("exact", "model"))
 
     return Scenario(data=data, params=params, base=base, perturbation=perturbation,
-                    ns=ns, ntheta=ntheta, eps=eps, options=options, output=output,
+                    ns=grid["ns"], ntheta=grid["ntheta"], eps=eps, options=options, output=output,
                     sweep=sweep, mms=mms)
 
 

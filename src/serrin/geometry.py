@@ -33,6 +33,8 @@ _SIN_DERIVATIVES = ((1.0, np.sin), (1.0, np.cos), (-1.0, np.sin))
 
 # The two boundary components, in grid-row order.
 SIDES = ("inner", "outer")
+# The smallest grid build_grid accepts: rows in s and columns in theta.
+MIN_NS, MIN_NTHETA = 9, 16
 
 
 def _side(which) -> int:
@@ -248,9 +250,9 @@ def blend_map(spec: DomainSpec, s, theta):
 def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     """Build the blended polar grid with ``ns`` rows and ``ntheta`` columns.
 
-    Requires integer ``ns >= 9`` and ``ntheta >= 16``.  Raises
-    :class:`InvalidDomainError` if the mapping Jacobian is not positive and
-    finite everywhere on the grid.
+    Requires integer ``ns >= MIN_NS`` (9) and ``ntheta >= MIN_NTHETA``
+    (16).  Raises :class:`InvalidDomainError` if the mapping Jacobian is not
+    positive and finite everywhere on the grid.
     """
     try:  # int() raises on NaN and on infinities
         whole = int(ns) == ns and int(ntheta) == ntheta
@@ -259,8 +261,8 @@ def build_grid(spec: DomainSpec, ns: int, ntheta: int) -> CurvGrid:
     if not whole:
         raise InvalidInputError("grid sizes must be integers")
     ns, ntheta = int(ns), int(ntheta)
-    if ns < 9 or ntheta < 16:
-        raise InvalidInputError("grid needs ns >= 9 and ntheta >= 16")
+    if ns < MIN_NS or ntheta < MIN_NTHETA:
+        raise InvalidInputError(f"grid needs ns >= {MIN_NS} and ntheta >= {MIN_NTHETA}")
     s = np.linspace(0.0, 1.0, ns)
     ds = 1.0 / (ns - 1)
     dtheta = 2 * np.pi / ntheta

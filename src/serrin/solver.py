@@ -8,11 +8,12 @@ interfaces,
 
 using second-order centered differences for both flux divergences.  The
 resulting 9-point operator annihilates constants exactly and is mildly
-nonsymmetric through the mixed-term interfaces.  It is kept only as its nine
-coefficient arrays (the stencil) and applied matrix-free, as a sum of
-coefficient-times-shifted-slice products; the preconditioner below averages
-the same stencil.  Dirichlet rows are eliminated exactly into the
-right-hand side.
+nonsymmetric through the mixed-term interfaces.  It is kept only as one
+array of its nine coefficients (the stencil), indexed by the offset of the
+node each multiplies, and applied matrix-free, as a sum of
+coefficient-times-shifted-slice products; the Dirichlet rows, the start and
+the preconditioner below index the same array.  Dirichlet rows are
+eliminated exactly into the right-hand side.
 
 The system is solved by restarted GMRES (Saad & Schultz 1986), preconditioned
 on the right by the exact inverse of a theta-averaged operator: each
@@ -59,7 +60,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SolverFailureError
-from .geometry import CurvGrid, DomainSpec, blend_map, build_grid
+from .geometry import MIN_NTHETA, CurvGrid, DomainSpec, blend_map, build_grid
 from .models import ModelParams, model_u
 
 # GMRES restart length, and the number of restart cycles, each ending in one
@@ -68,6 +69,9 @@ from .models import ModelParams, model_u
 # need 165 at 257^2 and 333 at 513^2).
 _RESTART = 60
 _MAX_RESTARTS = 10
+# The stencil's offsets (di, dj), in the order in which the operator sums its
+# nine products: a sum in another order would round differently.
+_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -155,17 +159,18 @@ def _per_angle(value, ntheta, name):
     return arr
 
 
-def _stencil(grid: CurvGrid) -> dict:
-    """The 9-point coefficients ``{(di, dj): (ns-2, ntheta) array}``: row
-    ``i - 1`` of entry ``(di, dj)`` multiplies ``u[i + di, j + dj]`` in the
-    equation of interior node ``(i, j)``.
+def _stencil(grid: CurvGrid) -> np.ndarray:
+    """The 9-point coefficients as one ``(3, 3, ns - 2, ntheta)`` array: row
+    ``i - 1`` of entry ``[di + 1, dj + 1]`` multiplies ``u[i + di, j + dj]``
+    in the equation of interior node ``(i, j)``.
 
     The stencil owns the staggering of the flux form.  It samples the
     blended map (:func:`~serrin.geometry.blend_map`) at the s-interfaces
     ``(i +- 1/2, j)``, for the s-flux coefficients ``A = (r_t^2 + r^2) /
     (r r_s)`` and ``B = -r_t / r``, and at the theta-interfaces
     ``(i, j + 1/2)`` of the interior rows, for ``B`` and ``C = r_s / r``;
-    the ``(i, j - 1/2)`` values are those of column ``j - 1``."""
+    the ``(i, j - 1/2)`` values are those of column ``j - 1``.  The array is
+    filled entry by entry, so that no second copy of it is made."""
     ns = grid.ns
     ds, dt = grid.ds, grid.dtheta
     q = 1.0 / (4.0 * ds * dt)
@@ -181,28 +186,29 @@ def _stencil(grid: CurvGrid) -> dict:
     ct_p = r_s / r / dt**2
     bt_m, ct_m = np.roll(bt_p, 1, axis=1), np.roll(ct_p, 1, axis=1)
 
-    return {
-        (0, 0): -as_p - as_m - ct_p - ct_m,
-        (1, 0): as_p + bt_p - bt_m,
-        (-1, 0): as_m - bt_p + bt_m,
-        (0, 1): bs_p - bs_m + ct_p,
-        (0, -1): -bs_p + bs_m + ct_m,
-        (1, 1): bs_p + bt_p,
-        (1, -1): -bs_p - bt_m,
-        (-1, 1): -bs_m - bt_p,
-        (-1, -1): bs_m + bt_m,
-    }
+    stencil = np.empty((3, 3) + as_p.shape)
+    stencil[1, 1] = -as_p - as_m - ct_p - ct_m
+    stencil[2, 1] = as_p + bt_p - bt_m
+    stencil[0, 1] = as_m - bt_p + bt_m
+    stencil[1, 2] = bs_p - bs_m + ct_p
+    stencil[1, 0] = -bs_p + bs_m + ct_m
+    stencil[2, 2] = bs_p + bt_p
+    stencil[2, 0] = -bs_p - bt_m
+    stencil[0, 2] = -bs_m - bt_p
+    stencil[0, 0] = bs_m + bt_m
+    return stencil
 
 
 def _apply(stencil, u: np.ndarray) -> np.ndarray:
     """The 9-point operator of ``stencil`` applied to a full ``(ns, ntheta)``
     array: row ``i - 1`` of the result is the equation of interior node
     ``(i, j)``.  Theta is periodic, so ``u`` is padded by one wrapped column
-    on each side and each coefficient multiplies a shifted slice of it."""
+    on each side and each coefficient multiplies a shifted slice of it, the
+    products summed in the order of :data:`_OFFSETS`."""
     ns, nt = u.shape
     padded = np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
-    return sum(coef * padded[1 + di:ns - 1 + di, 1 + dj:nt + 1 + dj]
-               for (di, dj), coef in stencil.items())
+    return sum(stencil[di + 1, dj + 1] * padded[1 + di:ns - 1 + di, 1 + dj:nt + 1 + dj]
+               for di, dj in _OFFSETS)
 
 
 @functools.lru_cache(maxsize=8)
@@ -285,17 +291,15 @@ def _tridiagonal_solver(lower, pivot, upper):
 
 def _lumped_start(stencil, rhs):
     """The start of the iteration: the solution of the operator with the
-    theta couplings of each row lumped, ``sum_dj stencil[di, dj]``, which
-    leaves one tridiagonal system in s per theta column (the line solve of
-    line relaxation; Trottenberg, Oosterlee & Schueller, Multigrid, 2001,
-    ch. 5).  The lumped operator equals the operator on theta-constant
-    vectors, so on circles with theta-constant data the start is the
-    discrete solution.  The bands are freed on return, before the
-    iteration allocates its basis.
+    theta couplings of each row lumped, ``stencil.sum(axis=1)``, which leaves
+    one tridiagonal system in s per theta column (the line solve of line
+    relaxation; Trottenberg, Oosterlee & Schueller, Multigrid, 2001, ch. 5).
+    The lumped operator equals the operator on theta-constant vectors, so on
+    circles with theta-constant data the start is the discrete solution.
+    The bands are freed on return, before the iteration allocates its basis.
     """
-    solve = _tridiagonal_solver(*(sum(stencil[di, dj] for dj in (-1, 0, 1))
-                                  for di in (-1, 0, 1)))
-    return solve(rhs.reshape(stencil[0, 0].shape).copy()).ravel()
+    solve = _tridiagonal_solver(*stencil.sum(axis=1))
+    return solve(rhs.reshape(stencil.shape[2:]).copy()).ravel()
 
 
 def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
@@ -304,28 +308,27 @@ def _theta_averaged_inverse(stencil) -> Callable[[np.ndarray], np.ndarray]:
     equations of theta column ``j`` by one over the mean magnitude of their
     diagonal, and ``avg`` replaces each coefficient by its mean over theta.
 
-    ``avg(W L)`` is circulant in theta.  Each of its nine averages is one
-    matrix-vector product, ``coef @ w / ntheta``.  With the real DFT along
-    theta (:func:`_theta_transform`), a shift by ``dj`` nodes multiplies
-    mode ``k`` by ``omega_k**dj``, ``omega_k = exp(2 pi i k / ntheta)``, so
-    each band is its ``dj = 0`` average plus the outer products of the ``dj
-    = 1`` and ``dj = -1`` averages with ``omega`` and its conjugate, and one
-    tridiagonal system in s is left per mode.  The three bands are kept as
-    ``(n_in, modes)`` arrays, the layout ``rfft`` returns, and all modes are
-    eliminated together (:func:`_tridiagonal_solver`, which raises on a
-    singular system): the bands are factored once, and each application is
-    one forward transform, one forward and one backward sweep over the rows,
-    and one inverse transform.
+    ``avg(W L)`` is circulant in theta.  Its nine averages are one product
+    of the stencil array with the scales, ``stencil @ w / ntheta``.  With the
+    real DFT along theta (:func:`_theta_transform`), a shift by ``dj`` nodes
+    multiplies mode ``k`` by ``omega_k**dj``, ``omega_k = exp(2 pi i k /
+    ntheta)``, so each band is its ``dj = 0`` average plus the ``dj = 1``
+    and ``dj = -1`` averages times ``omega`` and its conjugate, one broadcast
+    for the three bands, and one tridiagonal system in s is left per mode.
+    The three bands are kept as ``(n_in, modes)`` arrays, the layout
+    ``rfft`` returns, and all modes are eliminated together
+    (:func:`_tridiagonal_solver`, which raises on a singular system): the
+    bands are factored once, and each application is one forward transform,
+    one forward and one backward sweep over the rows, and one inverse
+    transform.
     """
-    n_in, nt = stencil[0, 0].shape
+    n_in, nt = stencil.shape[2:]
     omega = np.exp(2j * np.pi * np.arange(nt // 2 + 1) / nt)
     with np.errstate(all="ignore"):
         # A column with a zero diagonal makes w, and so every pivot, non-finite.
-        w = 1.0 / np.abs(stencil[0, 0]).mean(axis=0)
-        avg = {key: coef @ w / nt for key, coef in stencil.items()}
-        solve = _tridiagonal_solver(*(avg[di, 0][:, None] + np.outer(avg[di, 1], omega)
-                                      + np.outer(avg[di, -1], omega.conj())
-                                      for di in (-1, 0, 1)))
+        w = 1.0 / np.abs(stencil[1, 1]).mean(axis=0)
+        avg = (stencil @ w / nt)[..., None]  # (di + 1, dj + 1, row, 1)
+        solve = _tridiagonal_solver(*(avg[:, 1] + avg[:, 2] * omega + avg[:, 0] * omega.conj()))
     forward, inverse = _theta_transform(nt)
     return lambda r: inverse(solve(forward(r.reshape(n_in, nt) * w))).ravel()
 
@@ -444,10 +447,11 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     # The Dirichlet rows are eliminated: their stencil terms move to the
     # right-hand side, and the operator sees zero boundary rows.  Only the
     # first and last interior rows reach a Dirichlet row, through the di = -1
-    # and di = 1 coefficients; summed in the stencil's order from 0, as in
-    # _apply, these rows are bit for bit those of _apply on the boundary
-    # array, whose other terms are all zero.  The solution array is made
-    # after the iteration, so that it is not held alongside the Krylov basis.
+    # and di = 1 coefficients, stencil[0, :, 0] and stencil[2, :, -1]; summed
+    # from 0 in the order of _OFFSETS (dj = 0, 1, -1), as in _apply, these
+    # rows are bit for bit those of _apply on the boundary array, whose other
+    # terms are all zero.  The solution array is made after the iteration, so
+    # that it is not held alongside the Krylov basis.
     padded = np.zeros((ns, nt))  # the iterate between zero boundary rows
 
     def operator(x):
@@ -458,10 +462,8 @@ def solve_dirichlet(grid: CurvGrid, f, inner_value, outer_value,
     # solve then fails in GMRES as a non-finite residual, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = grid.jac[1:-1] * f
-        rhs[0] -= sum(coef[0] * np.roll(a_arr, -dj)
-                      for (di, dj), coef in stencil.items() if di == -1)
-        rhs[-1] -= sum(coef[-1] * np.roll(b_arr, -dj)
-                       for (di, dj), coef in stencil.items() if di == 1)
+        for row, coefs, data in ((0, stencil[0, :, 0], a_arr), (-1, stencil[2, :, -1], b_arr)):
+            rhs[row] -= sum(coefs[dj + 1] * np.roll(data, -dj) for dj in (0, 1, -1))
         rhs = rhs.ravel()
         t1 = time.perf_counter()
         precondition = _theta_averaged_inverse(stencil)
@@ -541,11 +543,13 @@ def manufactured_field(kind: str, params: Optional[ModelParams] = None) -> Manuf
 
 
 def mms_sizes(sizes) -> list:
-    """``sizes`` as a list if at least two of them differ, else
-    InvalidInputError: one log h would leave the fitted order arbitrary."""
+    """``sizes`` as a list if at least two of them differ, since one log h
+    would leave the fitted order arbitrary, and each is at least
+    ``MIN_NTHETA``, which a square grid needs, else InvalidInputError."""
     sizes = list(sizes)  # an iterator would be spent by the check below
-    if len(set(sizes)) < 2:
-        raise InvalidInputError("mms needs at least two distinct grid sizes")
+    if len(set(sizes)) < 2 or min(sizes) < MIN_NTHETA:
+        raise InvalidInputError(f"mms.sizes needs two distinct grid sizes of at least "
+                                f"{MIN_NTHETA}, got {sizes}")
     return sizes
 
 
@@ -570,9 +574,10 @@ def mms_convergence(spec: DomainSpec, exact: ManufacturedField, sizes: Sequence[
     """Convergence study of the manufactured field ``exact`` on square grids.
 
     Each entry of ``sizes``, of which at least two must differ, is used for
-    both grid directions.  Errors below 1e-12 relative to the field magnitude
-    are reported as ``exact`` with no fitted order; otherwise the slopes of
-    log-error against log-h are fitted by least squares for both norms.
+    both grid directions, so each must be at least ``MIN_NTHETA`` (16).
+    Errors below 1e-12 relative to the field magnitude are reported as
+    ``exact`` with no fitted order; otherwise the slopes of log-error against
+    log-h are fitted by least squares for both norms.
     """
     sizes = mms_sizes(sizes)
     ns, hs, linf, l2, scale = [], [], [], [], 0.0

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import serrin.solver as solver_module
 from serrin import CSV_COLUMNS, DomainSpec, FourierCurve, cli, read_field
 
 MODEL_A = {"model_params": {"L": 0.0, "M": 4.0, "r_i": 1.0, "r_o": 1.5}}
@@ -545,6 +546,57 @@ class TestAmplitudeWithoutPerturbation:
             assert not out.exists()
         else:
             assert len(out.read_text().splitlines()) == 2
+
+
+class TestGridSizes:
+    """Grid sizes below build_grid's minimums (ns 9, ntheta 16) exit 2 from
+    every subcommand before any solve, each error naming its key, except the
+    values of an ns or ntheta sweep, which fail in their own rows."""
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"mms": {"sizes": [9, 12]}}, "mms.sizes"),
+        ({"mms": {"sizes": [17, -5]}}, "mms.sizes"),
+        ({"resolution": {"ns": 3, "ntheta": 8}}, "resolution.ns"),
+        ({"resolution": {"ns": 17, "ntheta": 8}}, "resolution.ntheta"),
+    ], ids=["mms_small", "mms_negative", "resolution", "resolution_ntheta"])
+    def test_fit_exits_2(self, tmp_path, extra, key, run_main):
+        proc = run_main("fit", write_cfg(tmp_path, "g.json", {**MODEL_A, **extra}))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {key} ")
+
+    def test_override_is_named(self, tmp_path, run_main):
+        cfg = write_cfg(tmp_path, "g.json", {**MODEL_A, "resolution": {"ns": 17, "ntheta": 16}})
+        proc = run_main("verify", cfg, "--ntheta", "8")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --ntheta must be at least 16, got 8\n"
+
+    def test_eps_sweep_writes_no_csv(self, tmp_path, run_main):
+        out = tmp_path / "sweep.csv"
+        payload = {**MODEL_A, "resolution": {"ns": 3, "ntheta": 8},
+                   "sweep": {"parameter": "eps", "values": [0.0]}, "output": {"csv": str(out)}}
+        proc = run_main("sweep", write_cfg(tmp_path, "g.json", payload))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_swept_dimension_is_not_checked(self, tmp_path, run_main):
+        # the sweep replaces the configured ns, so only its own values count
+        out = tmp_path / "sweep.csv"
+        payload = {**MODEL_A, "resolution": {"ns": 3, "ntheta": 16},
+                   "sweep": {"parameter": "ns", "values": [17]}, "output": {"csv": str(out)}}
+        assert run_main("sweep", write_cfg(tmp_path, "g.json", payload)).returncode == 0
+        rows = list(csv.reader(out.open(newline="")))
+        assert [row[CSV_COLUMNS.index("error")] for row in rows[1:]] == [""]
+
+    def test_mms_makes_no_solve(self, tmp_path, run_main, monkeypatch):
+        solves = []
+        monkeypatch.setattr(solver_module, "solve_dirichlet", lambda *a, **k: solves.append(a))
+        payload = {**MODEL_A, "mms": {"sizes": [17, -5]}}
+        proc = run_main("mms", write_cfg(tmp_path, "g.json", payload))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert solves == []
 
 
 class TestMms:

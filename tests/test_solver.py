@@ -1,6 +1,7 @@
 """Tests for the finite-difference solver, gradients and manufactured fields."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import serrin.solver as solver_module
+from serrin.geometry import blend_map
 
 from serrin import (
     DomainSpec,
@@ -178,10 +180,7 @@ class TestSolve:
 
     def test_singular_preconditioner_raises_solver_failure(self, monkeypatch):
         g = build_grid(DomainSpec.circles(1.0, 1.5), 9, 16)
-        zero = np.zeros((9 - 2, 16))
-        monkeypatch.setattr(solver_module, "_stencil",
-                            lambda grid: {(di, dj): zero for di in (-1, 0, 1)
-                                          for dj in (-1, 0, 1)})
+        monkeypatch.setattr(solver_module, "_stencil", lambda grid: np.zeros((3, 3, 9 - 2, 16)))
         with pytest.raises(SolverFailureError, match="singular") as exc:
             solve_dirichlet(g, -2.0, 0.0, 1.0)
         assert exc.value.residuals == []
@@ -283,11 +282,11 @@ class TestSolve:
 def _dense_theta_averaged(stencil):
     """The matrix ``W^-1 avg(W L)`` of the preconditioner, built entry by
     entry on the flattened interior nodes."""
-    n_in, nt = stencil[0, 0].shape
-    w = 1.0 / np.abs(stencil[0, 0]).mean(axis=0)
+    n_in, nt = stencil.shape[2:]
+    w = 1.0 / np.abs(stencil[1, 1]).mean(axis=0)
     mat = np.zeros((n_in * nt, n_in * nt))
-    for (di, dj), coef in stencil.items():
-        avg = (coef * w).mean(axis=1)
+    for di, dj in itertools.product((-1, 0, 1), repeat=2):
+        avg = (stencil[di + 1, dj + 1] * w).mean(axis=1)
         for i in range(n_in):
             if 0 <= i + di < n_in:
                 for j in range(nt):
@@ -372,9 +371,8 @@ class TestPreconditioner:
     def test_zero_pivot_raises_solver_failure(self):
         # Two rows whose averaged system is [[1, 1], [1, 1]] in every mode:
         # the diagonal is nonzero, but the second pivot is 1 - 1 * 1 = 0.
-        ones, zeros = np.ones((2, 4)), np.zeros((2, 4))
-        stencil = {(di, dj): ones if dj == 0 else zeros
-                   for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        stencil = np.zeros((3, 3, 2, 4))
+        stencil[:, 1] = 1.0  # every dj = 0 entry
         with pytest.raises(SolverFailureError, match="singular"):
             solver_module._theta_averaged_inverse(stencil)
 
@@ -413,9 +411,8 @@ _ONE_HARMONIC = st.builds(
 class TestLumpedStart:
     def test_zero_pivot_raises_solver_failure(self):
         # Lumped bands [[1, 1], [1, 1]] in every column: the second pivot is 0.
-        ones, zeros = np.ones((2, 4)), np.zeros((2, 4))
-        stencil = {(di, dj): ones if dj == 0 else zeros
-                   for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        stencil = np.zeros((3, 3, 2, 4))
+        stencil[:, 1] = 1.0  # every dj = 0 entry
         with pytest.raises(SolverFailureError, match="singular"):
             solver_module._lumped_start(stencil, np.ones(8))
 
@@ -425,7 +422,7 @@ class TestLumpedStart:
         stencil = solver_module._stencil(build_grid(wavy_domain(), 12, 16))
         rhs = np.random.default_rng(3).standard_normal((10, 16))
         x = solver_module._lumped_start(stencil, rhs.ravel()).reshape(10, 16)
-        bands = {di: sum(stencil[di, dj] for dj in (-1, 0, 1)) for di in (-1, 0, 1)}
+        bands = {di: sum(stencil[di + 1, dj + 1] for dj in (-1, 0, 1)) for di in (-1, 0, 1)}
         for j in range(16):
             dense = (np.diag(bands[0][:, j]) + np.diag(bands[1][:-1, j], 1)
                      + np.diag(bands[-1][1:, j], -1))
@@ -462,13 +459,87 @@ _EDGE_DOMAINS = st.one_of(
 _GRID_SIZES = st.tuples(st.integers(9, 40), st.integers(16, 48))
 
 
+def _nine_entry_stencil(grid):
+    """The stencil as ``{(di, dj): (ns - 2, ntheta) array}``, each entry by
+    its own flux-form formula and the entries in the order the operator sums
+    them: the reference that the stencil array is checked against."""
+    ns, ds, dt = grid.ns, grid.ds, grid.dtheta
+    q = 1.0 / (4.0 * ds * dt)
+    s = np.linspace(0.0, 1.0, ns)
+    r, r_t, r_s = blend_map(grid.spec, 0.5 * (s[:-1] + s[1:]), grid.theta)
+    a = (r_t * r_t + r * r) / (r * r_s) / ds**2
+    b = -r_t / r * q
+    as_p, as_m, bs_p, bs_m = a[1:], a[:-1], b[1:], b[:-1]
+    r, r_t, r_s = blend_map(grid.spec, s[1:-1], grid.theta + 0.5 * dt)
+    bt_p = -r_t / r * q
+    ct_p = r_s / r / dt**2
+    bt_m, ct_m = np.roll(bt_p, 1, axis=1), np.roll(ct_p, 1, axis=1)
+    return {
+        (0, 0): -as_p - as_m - ct_p - ct_m,
+        (1, 0): as_p + bt_p - bt_m,
+        (-1, 0): as_m - bt_p + bt_m,
+        (0, 1): bs_p - bs_m + ct_p,
+        (0, -1): -bs_p + bs_m + ct_m,
+        (1, 1): bs_p + bt_p,
+        (1, -1): -bs_p - bt_m,
+        (-1, 1): -bs_m - bt_p,
+        (-1, -1): bs_m + bt_m,
+    }
+
+
 class TestStencil:
+    @pytest.mark.parametrize("spec", [wavy_domain(), DomainSpec.circles(1.0, 1.5)],
+                             ids=["wavy", "circle"])
+    def test_every_reader_matches_the_nine_entry_formulas(self, spec, monkeypatch):
+        # Bit for bit: each entry of the array, the operator on a random
+        # field, the right-hand-side rows, the lumped bands and the
+        # theta-averaged bands, which hold the nine averages (three modes
+        # fix the three averages of a band).
+        g = build_grid(spec, 33, 33)
+        ns, nt = g.ns, g.ntheta
+        ref = _nine_entry_stencil(g)
+        stencil = solver_module._stencil(g)
+        for (di, dj), coef in ref.items():
+            assert np.array_equal(stencil[di + 1, dj + 1], coef)
+
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((ns, nt))
+        padded = np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
+        expected = sum(coef * padded[1 + di:ns - 1 + di, 1 + dj:nt + 1 + dj]
+                       for (di, dj), coef in ref.items())
+        assert np.array_equal(solver_module._apply(stencil, u), expected)
+
+        bands = []  # the bands of each factorization, copied before it factors them in place
+        factor = solver_module._tridiagonal_solver
+
+        def recording(*given):
+            bands.append([band.copy() for band in given])
+            return factor(*given)
+
+        monkeypatch.setattr(solver_module, "_tridiagonal_solver", recording)
+        seen = _recorded_starts(monkeypatch)
+        inner, outer = rng.standard_normal(nt), rng.standard_normal(nt)
+        solve_dirichlet(g, -2.0, inner, outer)
+        rhs = g.jac[1:-1] * -2.0
+        rhs[0] -= sum(coef[0] * np.roll(inner, -dj) for (di, dj), coef in ref.items() if di < 0)
+        rhs[-1] -= sum(coef[-1] * np.roll(outer, -dj) for (di, dj), coef in ref.items() if di > 0)
+        assert np.array_equal(seen[-1][1], rhs.ravel())
+
+        averaged, lumped = bands  # the preconditioner is factored before the start
+        w = 1.0 / np.abs(ref[0, 0]).mean(axis=0)
+        avg = {key: coef @ w / nt for key, coef in ref.items()}
+        omega = np.exp(2j * np.pi * np.arange(nt // 2 + 1) / nt)
+        for di, got_averaged, got_lumped in zip((-1, 0, 1), averaged, lumped):
+            assert np.array_equal(got_averaged, avg[di, 0][:, None] + np.outer(avg[di, 1], omega)
+                                  + np.outer(avg[di, -1], omega.conj()))
+            assert np.array_equal(got_lumped, sum(ref[di, dj] for dj in (-1, 0, 1)))
+
     @settings(max_examples=60, deadline=None)
     @given(spec=_EDGE_DOMAINS, sizes=_GRID_SIZES)
     def test_annihilates_constants(self, spec, sizes):
         stencil = solver_module._stencil(build_grid(spec, *sizes))
         residual = solver_module._apply(stencil, np.ones(sizes))
-        assert np.all(np.abs(residual) <= 1e-14 * np.abs(stencil[0, 0]))
+        assert np.all(np.abs(residual) <= 1e-14 * np.abs(stencil[1, 1]))
 
     @settings(max_examples=40, deadline=None)
     @given(spec=_EDGE_CIRCLES, sizes=_GRID_SIZES)
@@ -478,8 +549,8 @@ class TestStencil:
         # preconditioner the operator itself).
         stencil = solver_module._stencil(build_grid(spec, *sizes))
         for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            assert np.all(stencil[di, dj] == 0)
-        for coef in stencil.values():
+            assert np.all(stencil[di + 1, dj + 1] == 0)
+        for coef in stencil.reshape(9, -1, sizes[1]):
             assert np.all(coef == coef[:, :1])
 
     def test_second_order_consistent(self):

@@ -9,7 +9,7 @@ each config of :func:`variants`: a few valid scenarios at 17 x 16, whose runs
 solve, verify, sweep and write files, and one config per rule of the config
 format that rejects it.  ``solve``, ``verify``, ``sweep`` and ``mms`` also run
 with ``--eps 0.02``.  Each run has its own temporary directory as its working
-directory, a fresh process and ``OPENBLAS_NUM_THREADS=1``; the 720 runs take
+directory, a fresh process and ``OPENBLAS_NUM_THREADS=1``; the 729 runs take
 about a minute on two worker threads.  For each run ``OUT.json`` holds the
 exit code, stdout without ``solve``'s ``seconds:`` line, stderr, the SHA-256
 of each file the run wrote, and the JSON report without its ``timings`` and
@@ -110,7 +110,8 @@ def variants():
         "resolution_bool": _model(resolution={"ns": True}),
         "resolution_fractional": _model(resolution={"ns": 17.5, "ntheta": 16}),
         "resolution_unknown_key": _model(resolution={"ns": 17, "nr": 16}),
-        "resolution_too_small": _model(resolution={"ns": 2, "ntheta": 16}),
+        "resolution_too_small": _model(resolution={"ns": 2, "ntheta": 16},
+                                       sweep={"parameter": "eps", "values": [0.0]}),
         "solver_null": {**_model(), "solver": None},
         "solver_method": _model(solver={"method": "iterative"}),
         "solver_string_tol": _model(solver={"tol": "1e-11"}),
@@ -158,6 +159,7 @@ def variants():
         "mms_sizes_string": _model(mms={"sizes": "17,33"}),
         "mms_sizes_fractional": _model(mms={"sizes": [17.5, 33]}),
         "mms_sizes_one": _model(mms={"sizes": [17, 17]}),
+        "mms_sizes_too_small": _model(mms={"sizes": [9, 12]}),
         "mms_exact_number": _model(mms={"sizes": [17, 33], "exact": 3}),
         "mms_exact_unknown": _model(mms={"sizes": [17, 33], "exact": "cubic"}),
         "output_list": _model(output={"csv": ["rows.csv"]}),
